@@ -8,8 +8,11 @@ the same flags and seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
+from collections import Counter
 
 from .link_fit import fit_link
 from .noise_stats import self_similarity_check
@@ -102,7 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _simulate_paths(args, lam, mu, alpha, base_stream_id):
+def _write_paths(args, lam, mu, alpha, first_stream_id, csv_path, svg_path):
+    """Simulate ``args.paths`` paths on streams from ``first_stream_id`` and write them."""
+    if args.paths < 1:
+        raise ValueError(f"paths={args.paths} must be a positive integer")
     model = ModelSpec(
         kind=ModelKind(args.model),
         lam=lam,
@@ -112,50 +118,39 @@ def _simulate_paths(args, lam, mu, alpha, base_stream_id):
         with_jumps=not getattr(args, "no_jumps", False),
     )
     grid = GridSpec(t_end=args.t_end, n_steps=args.steps)
-    if args.paths < 1:
-        raise ValueError(f"paths={args.paths} must be a positive integer")
-    return [
-        simulate(model, grid, RngStream(args.seed, base_stream_id + p))
+    trajectories = [
+        simulate(model, grid, RngStream(args.seed, first_stream_id + p))
         for p in range(args.paths)
     ]
+    write_trajectories_csv(csv_path, trajectories)
+    if svg_path:
+        atomic_write_text(svg_path, render_paths_svg([(t.times, t.values) for t in trajectories]))
 
 
 def cmd_simulate(args) -> int:
-    trajectories = _simulate_paths(args, args.lam, args.mu, args.alpha, 0)
-    write_trajectories_csv(args.out, trajectories)
-    if args.svg:
-        atomic_write_text(args.svg, render_paths_svg([(t.times, t.values) for t in trajectories]))
+    _write_paths(args, args.lam, args.mu, args.alpha, 0, args.out, args.svg)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    import os
-
+    combos = list(itertools.product(args.lambdas, args.mus, args.alphas))
+    stems = [
+        f"{args.model}_l{mangle_value(lam)}_m{mangle_value(mu)}_a{mangle_value(alpha)}"
+        for lam, mu, alpha in combos
+    ]
+    clashes = sorted(stem for stem, count in Counter(stems).items() if count > 1)
+    if clashes:
+        raise ValueError(f"sweep combinations share output file names: {', '.join(clashes)}")
     os.makedirs(args.outdir, exist_ok=True)
-    combo = 0
-    for lam in args.lambdas:
-        for mu in args.mus:
-            for alpha in args.alphas:
-                trajectories = _simulate_paths(args, lam, mu, alpha, combo * args.paths)
-                stem = (
-                    f"{args.model}_l{mangle_value(lam)}"
-                    f"_m{mangle_value(mu)}_a{mangle_value(alpha)}"
-                )
-                write_trajectories_csv(os.path.join(args.outdir, stem + ".csv"), trajectories)
-                if args.svg:
-                    atomic_write_text(
-                        os.path.join(args.outdir, stem + ".svg"),
-                        render_paths_svg([(t.times, t.values) for t in trajectories]),
-                    )
-                combo += 1
+    for combo, ((lam, mu, alpha), stem) in enumerate(zip(combos, stems)):
+        path = os.path.join(args.outdir, stem)
+        svg_path = path + ".svg" if args.svg else None
+        _write_paths(args, lam, mu, alpha, combo * args.paths, path + ".csv", svg_path)
     return 0
 
 
 def cmd_fit_link(args) -> int:
-    rows = read_link_rows_csv(args.input)
-    if len(rows) != 5:
-        raise ValueError(f"fit-link input must have exactly 5 data rows, got {len(rows)}")
-    link = fit_link(rows)
+    link = fit_link(read_link_rows_csv(args.input))
     report = {
         "beta": [format_real(b) for b in link.coefficients],
         "t_bar": format_real(link.t_bar),

@@ -1,14 +1,17 @@
 """Euler simulation of stable-noise SDEs with closed-form degenerate oracles.
 
-Two models share one explicit Euler-Maruyama stepper with left-point
-coefficient evaluation:
+Two models share one explicit Euler-Maruyama scheme with left-point
+coefficient evaluation, each run as one recurrence over its drawn noise:
 
-  OU    X[k+1] = X[k] - lam * X[k] * dt + mu * dL[k]
+  OU    X[k+1] = (1 - lam * dt) * X[k] + mu * dL[k]
   GLM   X[k+1] = X[k] * (1 + lam * dt + mu * dB[k] + mu * dL[k])
 
 where dB[k] = sqrt(dt) * N[k] and dL[k] = dt**(1/alpha) * S[k] for standard
 normal N and standard symmetric stable S.  One volatility knob mu scales
-both the Brownian and the jump term of the GLM.
+both the Brownian and the jump term of the GLM.  The OU recurrence is folded
+left over its shocks; the GLM path is the running product of x0 and its
+per-step factors.  Both keep the float operations of a scalar step loop in
+its order, so a path is bit-identical to stepping it one value at a time.
 
 Noise is drawn up front per path: OU consumes n jump increments; GLM
 consumes n Brownian normals first, then n unit-scale jump increments (none
@@ -19,6 +22,7 @@ trajectory.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -120,33 +124,27 @@ def simulate(model: ModelSpec, grid: GridSpec, stream: RngStream) -> Trajectory:
     n = grid.n_steps
     dt = grid.dt
     lam_dt = model.lam * dt
-    out = [0.0] * (n + 1)
-    out[0] = x = float(model.x0)
+    x0 = float(model.x0)
     breach = None
 
     if model.kind is ModelKind.OU:
         shocks = increments(NoiseSpec(model.alpha, model.mu), dt, stream, n).tolist()
         keep = 1.0 - lam_dt
-        for k in range(n):
-            x = keep * x + shocks[k]
-            out[k + 1] = x
+        steps = itertools.accumulate(shocks, lambda x, s: keep * x + s, initial=x0)
+        values = np.fromiter(steps, float, n + 1)
     else:
         brownian = (model.mu * math.sqrt(dt)) * stream.normals(n)
-        if model.with_jumps:
-            jumps = model.mu * increments(NoiseSpec(model.alpha, 1.0), dt, stream, n)
-        else:
-            jumps = np.zeros(n)
-        bw = brownian.tolist()
-        jw = jumps.tolist()
-        base = 1.0 + lam_dt
-        for k in range(n):
-            factor = base + bw[k] + jw[k]
-            if breach is None and factor <= -1.0:
-                breach = k
-            x = factor * x
-            out[k + 1] = x
+        # Overflow and inf * 0 are legitimate outcomes here, flagged below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            jumps = 0.0
+            if model.with_jumps:
+                jumps = model.mu * increments(NoiseSpec(model.alpha, 1.0), dt, stream, n)
+            factors = (1.0 + lam_dt) + brownian + jumps
+            values = np.multiply.accumulate(np.concatenate(([x0], factors)))
+            breaches = np.flatnonzero(factors <= -1.0)
+        if breaches.size:
+            breach = int(breaches[0])
 
-    values = np.asarray(out)
     return Trajectory(
         times=grid.times(),
         values=values,

@@ -50,6 +50,12 @@ def mangle_value(v: float) -> str:
     return f"{v:g}".replace(".", "p")
 
 
+def _check_header(reader, expected: tuple[str, ...]) -> None:
+    header = tuple(next(reader, ()))
+    if header != expected:
+        raise ValueError(f"expected header {','.join(expected)!r}, got {header!r}")
+
+
 def trajectories_to_csv(trajectories: Sequence[Trajectory]) -> str:
     """CSV text for paths 0..n-1, rows sorted by (path_id, t)."""
     lines = [",".join(TRAJECTORY_HEADER)]
@@ -68,9 +74,7 @@ def read_trajectories_csv(path: str) -> dict[int, tuple[np.ndarray, np.ndarray]]
     per_path: dict[int, list[tuple[float, float]]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != TRAJECTORY_HEADER:
-            raise ValueError(f"expected header {','.join(TRAJECTORY_HEADER)!r}, got {header!r}")
+        _check_header(reader, TRAJECTORY_HEADER)
         for row in reader:
             per_path.setdefault(int(row[0]), []).append((float(row[1]), float(row[2])))
     return {
@@ -91,9 +95,7 @@ def read_link_rows_csv(path: str) -> list[SampleRow]:
     rows: list[SampleRow] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != LINK_HEADER:
-            raise ValueError(f"expected header {','.join(LINK_HEADER)!r}, got {header!r}")
+        _check_header(reader, LINK_HEADER)
         for row in reader:
             if not row:
                 continue

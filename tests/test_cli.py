@@ -70,6 +70,18 @@ def test_simulate_noise_free_ou_matches_exponential(tmp_path):
         assert abs(float(x) - math.exp(-2.0 * float(t))) < 2e-3
 
 
+def test_simulate_overflow_is_silent(tmp_path):
+    # An overflowing GLM path is a legitimate outcome, not a numpy warning.
+    res = run_cli(
+        ["simulate", "--model", "glm", "--lambda", "1e12", "--mu", "0", "--alpha", "1.5",
+         "--t-end", "1", "--steps", "32", "--seed", "5", "--out", "big.csv"],
+        tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    assert read_csv_rows(tmp_path / "big.csv")[-1][2] == "inf"
+
+
 def test_simulate_writes_svg(tmp_path):
     res = run_cli(SIMULATE[:-2] + ["--out", "p.csv", "--svg", "p.svg"], tmp_path)
     assert res.returncode == 0, res.stderr
@@ -137,6 +149,19 @@ def test_sweep_rejects_empty_alpha_list(tmp_path):
     assert res.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("alphas", ["1.5,1.5", "1.0000001,1.0000002"])
+def test_sweep_rejects_colliding_file_names(tmp_path, alphas):
+    res = run_cli(
+        ["sweep", "--model", "ou", "--alphas", alphas, "--lambdas", "1", "--mus", "1",
+         "--t-end", "1", "--steps", "8", "--seed", "1", "--outdir", "o"],
+        tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert len(res.stderr.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_paths_use_distinct_streams(tmp_path):
     res = run_cli(
         ["sweep", "--model", "ou", "--alphas", "1.5", "--lambdas", "1", "--mus", "1",
@@ -187,6 +212,15 @@ def test_fit_link_missing_file(tmp_path):
     res = run_cli(["fit-link", "--input", "nope.csv"], tmp_path)
     assert res.returncode == 1
     assert res.stderr.startswith("error:")
+
+
+def test_fit_link_empty_input(tmp_path):
+    (tmp_path / "rows.csv").write_text("")
+    res = run_cli(["fit-link", "--input", "rows.csv"], tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert len(res.stderr.splitlines()) == 1
+    assert "Traceback" not in res.stderr
 
 
 # ------------------------------------------------------------------------ rng

@@ -1,8 +1,11 @@
 """Euler simulation of the two jump models, degenerate-limit oracles, flags."""
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levylink.noise_stats import NoiseSpec, increments
 from levylink.sde_sim import (
@@ -24,6 +27,45 @@ def ou_model(lam=1.0, mu=1.0, alpha=1.5, x0=1.0):
 def glm_model(lam=1.0, mu=1.0, alpha=1.5, x0=1.0, with_jumps=True):
     return ModelSpec(kind=ModelKind.GLM, lam=lam, mu=mu, alpha=alpha, x0=x0,
                      with_jumps=with_jumps)
+
+
+def _euler_reference(model, grid, stream):
+    """The scalar Euler step loop, one Python float operation at a time.
+
+    ``simulate`` must reproduce it bit for bit: same draws, same operations
+    in the same order.
+    """
+    n = grid.n_steps
+    dt = grid.dt
+    lam_dt = model.lam * dt
+    out = [0.0] * (n + 1)
+    out[0] = x = float(model.x0)
+    breach = None
+
+    if model.kind is ModelKind.OU:
+        shocks = increments(NoiseSpec(model.alpha, model.mu), dt, stream, n).tolist()
+        keep = 1.0 - lam_dt
+        for k in range(n):
+            x = keep * x + shocks[k]
+            out[k + 1] = x
+    else:
+        brownian = (model.mu * math.sqrt(dt)) * stream.normals(n)
+        if model.with_jumps:
+            jumps = model.mu * increments(NoiseSpec(model.alpha, 1.0), dt, stream, n)
+        else:
+            jumps = np.zeros(n)
+        bw = brownian.tolist()
+        jw = jumps.tolist()
+        base = 1.0 + lam_dt
+        for k in range(n):
+            factor = base + bw[k] + jw[k]
+            if breach is None and factor <= -1.0:
+                breach = k
+            x = factor * x
+            out[k + 1] = x
+
+    values = np.asarray(out)
+    return values, not bool(np.isfinite(values).all()), breach
 
 
 # ------------------------------------------------------------------ validation
@@ -202,6 +244,32 @@ def test_overflow_is_flagged_and_propagated():
     traj = simulate(ou_model(lam=1e12, mu=0.0), grid, RngStream(61))
     assert traj.overflowed
     assert not np.isfinite(traj.values[-1]) or np.isinf(traj.values[-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(list(ModelKind)),
+    lam=st.one_of(st.just(1e12), st.floats(0.0, 1e12, exclude_min=True)),
+    mu=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+    alpha=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 2.0)),
+    x0=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)),
+    with_jumps=st.booleans(),
+    t_end=st.floats(1e-3, 10.0),
+    n_steps=st.integers(1, 300),
+    stream_id=st.integers(0, 2**16),
+)
+def test_simulate_matches_scalar_euler_loop(kind, lam, mu, alpha, x0, with_jumps,
+                                            t_end, n_steps, stream_id):
+    model = ModelSpec(kind=kind, lam=lam, mu=mu, alpha=alpha, x0=x0, with_jumps=with_jumps)
+    grid = GridSpec(t_end=t_end, n_steps=n_steps)
+    with np.errstate(all="ignore"):
+        values, overflowed, breach = _euler_reference(model, grid, RngStream(90, stream_id))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate(model, grid, RngStream(90, stream_id))
+    assert traj.values.tobytes() == values.tobytes()
+    assert traj.overflowed == overflowed
+    assert traj.factor_breach_step == breach
 
 
 def test_simulation_is_deterministic():

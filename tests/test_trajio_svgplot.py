@@ -83,6 +83,14 @@ def test_link_reader_rejects_wrong_header(tmp_path):
         read_link_rows_csv(str(path))
 
 
+@pytest.mark.parametrize("reader", [read_trajectories_csv, read_link_rows_csv])
+def test_readers_reject_empty_file(tmp_path, reader):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="expected header"):
+        reader(str(path))
+
+
 def test_write_is_atomic_no_temp_left_behind(tmp_path):
     path = str(tmp_path / "out.csv")
     write_trajectories_csv(path, simulate_paths(1))
