@@ -3,88 +3,28 @@
 Subpackages cover stable variate generation, noise increment statistics,
 explicit Euler simulation of two jump models, multivariate polynomial
 interpolation on sample nodes, and a linear fit tying first-jump data to
-model parameters.
+model parameters.  The package level holds the names of the paper's
+pipeline; everything else is imported from its own module.
 """
-from .link_fit import (
-    CollectResult,
-    LinkEquation,
-    SampleRow,
-    collect_rows,
-    detect_first_jump,
-    fit_link,
-)
-from .multinterp import (
-    DimensionMismatch,
-    Interpolant,
-    SingularSampleMatrix,
-    build_matrix,
-    cardinal,
-    determinant,
-    enumerate_exponents,
-    evaluate,
-    evaluate_cardinal,
-    fit,
-)
-from .noise_stats import (
-    EmptySample,
-    KsReport,
-    NoiseSpec,
-    empirical_cdf,
-    empirical_ks_one_sample,
-    empirical_ks_two_sample,
-    increment,
-    increments,
-    self_similarity_check,
-)
-from .sde_sim import (
-    GridSpec,
-    ModelKind,
-    ModelSpec,
-    Trajectory,
-    glm_exact_no_jump,
-    ou_exact_deterministic,
-    simulate,
-)
-from .stable_rng import ParameterError, StableParams, sample, sample_n
+from .link_fit import SampleRow, collect_rows, detect_first_jump, fit_link
+from .noise_stats import self_similarity_check
+from .sde_sim import GridSpec, ModelKind, ModelSpec, Trajectory, simulate
+from .stable_rng import StableParams, sample_n
 from .streams import RngStream
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "CollectResult",
-    "DimensionMismatch",
-    "EmptySample",
     "GridSpec",
-    "Interpolant",
-    "KsReport",
-    "LinkEquation",
     "ModelKind",
     "ModelSpec",
-    "NoiseSpec",
-    "ParameterError",
     "RngStream",
     "SampleRow",
-    "SingularSampleMatrix",
     "StableParams",
     "Trajectory",
-    "build_matrix",
-    "cardinal",
     "collect_rows",
     "detect_first_jump",
-    "determinant",
-    "empirical_cdf",
-    "empirical_ks_one_sample",
-    "empirical_ks_two_sample",
-    "enumerate_exponents",
-    "evaluate",
-    "evaluate_cardinal",
-    "fit",
     "fit_link",
-    "glm_exact_no_jump",
-    "increment",
-    "increments",
-    "ou_exact_deterministic",
-    "sample",
     "sample_n",
     "self_similarity_check",
     "simulate",

@@ -105,19 +105,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_paths(args, lam, mu, alpha, first_stream_id, csv_path, svg_path):
-    """Simulate ``args.paths`` paths on streams from ``first_stream_id`` and write them."""
+def _path_plan(args, triples):
+    """Check ``--paths`` and build one model per (lam, mu, alpha) and the grid."""
     if args.paths < 1:
         raise ValueError(f"paths={args.paths} must be a positive integer")
-    model = ModelSpec(
-        kind=ModelKind(args.model),
-        lam=lam,
-        mu=mu,
-        alpha=alpha,
-        x0=args.x0,
-        with_jumps=not getattr(args, "no_jumps", False),
-    )
-    grid = GridSpec(t_end=args.t_end, n_steps=args.steps)
+    kind, jumps = ModelKind(args.model), not getattr(args, "no_jumps", False)
+    models = [
+        ModelSpec(kind=kind, lam=lam, mu=mu, alpha=alpha, x0=args.x0, with_jumps=jumps)
+        for lam, mu, alpha in triples
+    ]
+    return models, GridSpec(t_end=args.t_end, n_steps=args.steps)
+
+
+def _write_paths(args, model, grid, first_stream_id, csv_path, svg_path):
+    """Simulate ``args.paths`` paths on streams from ``first_stream_id`` and write them."""
     trajectories = [
         simulate(model, grid, RngStream(args.seed, first_stream_id + p))
         for p in range(args.paths)
@@ -128,7 +129,8 @@ def _write_paths(args, lam, mu, alpha, first_stream_id, csv_path, svg_path):
 
 
 def cmd_simulate(args) -> int:
-    _write_paths(args, args.lam, args.mu, args.alpha, 0, args.out, args.svg)
+    (model,), grid = _path_plan(args, [(args.lam, args.mu, args.alpha)])
+    _write_paths(args, model, grid, 0, args.out, args.svg)
     return 0
 
 
@@ -141,11 +143,13 @@ def cmd_sweep(args) -> int:
     clashes = sorted(stem for stem, count in Counter(stems).items() if count > 1)
     if clashes:
         raise ValueError(f"sweep combinations share output file names: {', '.join(clashes)}")
+    # Every combination is checked before anything is written: all or nothing.
+    models, grid = _path_plan(args, combos)
     os.makedirs(args.outdir, exist_ok=True)
-    for combo, ((lam, mu, alpha), stem) in enumerate(zip(combos, stems)):
+    for combo, (model, stem) in enumerate(zip(models, stems)):
         path = os.path.join(args.outdir, stem)
         svg_path = path + ".svg" if args.svg else None
-        _write_paths(args, lam, mu, alpha, combo * args.paths, path + ".csv", svg_path)
+        _write_paths(args, model, grid, combo * args.paths, path + ".csv", svg_path)
     return 0
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "NoiseSpec",
     "KsReport",
     "EmptySample",
-    "increment",
     "increments",
     "empirical_cdf",
     "empirical_ks_two_sample",
@@ -90,16 +89,22 @@ def increments(spec: NoiseSpec, dt: float, stream: RngStream, n: int) -> np.ndar
     return (spec.scale * dt ** (1.0 / spec.alpha)) * draws
 
 
-def increment(spec: NoiseSpec, dt: float, stream: RngStream) -> float:
-    """One noise increment over a step of length ``dt``."""
-    return float(increments(spec, dt, stream, 1)[0])
+def _sample(xs: Sequence[float], what: str) -> np.ndarray:
+    """``xs`` as a float array; refuse it when empty or holding a NaN.
+
+    Infinities stay: they are ordered, and heavy-tailed sums can overflow.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.size == 0:
+        raise EmptySample(f"{what} needs a nonempty sample")
+    if np.isnan(xs).any():
+        raise ValueError(f"{what} needs a sample without NaN")
+    return xs
 
 
 def empirical_cdf(xs: Sequence[float], points: Sequence[float]) -> np.ndarray:
     """Right-continuous empirical CDF of ``xs`` evaluated at ``points``."""
-    xs = np.sort(np.asarray(xs, dtype=float))
-    if xs.size == 0:
-        raise EmptySample("empirical CDF of an empty sample")
+    xs = np.sort(_sample(xs, "empirical CDF"))
     return np.searchsorted(xs, np.asarray(points, dtype=float), side="right") / xs.size
 
 
@@ -113,10 +118,8 @@ def empirical_ks_two_sample(
     c(significance) * sqrt((n + m) / (n * m)).
     """
     coeff = _ks_coefficient(significance)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size == 0 or ys.size == 0:
-        raise EmptySample("two-sample KS needs both samples nonempty")
+    xs = _sample(xs, "two-sample KS")
+    ys = _sample(ys, "two-sample KS")
     pooled = np.concatenate([xs, ys])
     fx = empirical_cdf(xs, pooled)
     fy = empirical_cdf(ys, pooled)
@@ -130,9 +133,7 @@ def empirical_ks_one_sample(
 ) -> KsReport:
     """One-sample KS test of ``xs`` against the continuous CDF ``cdf``."""
     coeff = _ks_coefficient(significance)
-    xs = np.sort(np.asarray(xs, dtype=float))
-    if xs.size == 0:
-        raise EmptySample("one-sample KS needs a nonempty sample")
+    xs = np.sort(_sample(xs, "one-sample KS"))
     n = xs.size
     f = np.asarray(cdf(xs), dtype=float)
     grid = np.arange(1, n + 1) / n

@@ -1,4 +1,4 @@
-"""Euler simulation of stable-noise SDEs with closed-form degenerate oracles.
+"""Euler simulation of stable-noise SDEs.
 
 Two models share one explicit Euler-Maruyama scheme with left-point
 coefficient evaluation, each run as one recurrence over its drawn noise:
@@ -38,8 +38,6 @@ __all__ = [
     "GridSpec",
     "Trajectory",
     "simulate",
-    "ou_exact_deterministic",
-    "glm_exact_no_jump",
 ]
 
 
@@ -153,17 +151,3 @@ def simulate(model: ModelSpec, grid: GridSpec, stream: RngStream) -> Trajectory:
         overflowed=not bool(np.isfinite(values).all()),
         factor_breach_step=breach,
     )
-
-
-def ou_exact_deterministic(lam: float, x0: float, t: float) -> float:
-    """Noise-free OU endpoint exp(-lam * t) * x0."""
-    if t < 0.0:
-        raise ValueError(f"t={t!r} must be non-negative")
-    return math.exp(-lam * t) * x0
-
-
-def glm_exact_no_jump(lam: float, mu: float, x0: float, t: float, brownian_endpoint: float) -> float:
-    """Jump-free GLM endpoint x0 * exp((lam - mu**2 / 2) * t + mu * B_t)."""
-    if t < 0.0:
-        raise ValueError(f"t={t!r} must be non-negative")
-    return x0 * math.exp((lam - 0.5 * mu * mu) * t + mu * brownian_endpoint)

@@ -40,7 +40,6 @@ __all__ = [
     "StableParams",
     "ParameterError",
     "validate",
-    "sample",
     "sample_n",
     "cauchy_kernel",
     "symmetric_kernel",
@@ -142,8 +141,8 @@ def _shift(r, params: StableParams):
 def sample_n(params: StableParams, stream: RngStream, n: int) -> np.ndarray:
     """Draw ``n`` independent stable variates from ``stream``.
 
-    Element ``i`` equals the i-th value of ``n`` repeated :func:`sample`
-    calls on the same stream; batching does not change the draw schedule.
+    Element ``i`` equals the i-th value of ``n`` repeated one-variate calls
+    on the same stream; batching does not change the draw schedule.
     """
     validate(params)
     if n < 1:
@@ -167,8 +166,3 @@ def sample_n(params: StableParams, stream: RngStream, n: int) -> np.ndarray:
             else:
                 r = unit_index_kernel(b, u1, u2)
         return _shift(r, params)
-
-
-def sample(params: StableParams, stream: RngStream) -> float:
-    """Draw one stable variate from ``stream``."""
-    return float(sample_n(params, stream, 1)[0])

@@ -51,14 +51,6 @@ class RngStream:
         """
         return np.maximum(self._gen.random(n), _OPEN_LOW)
 
-    def uniform(self) -> float:
-        """One uniform on (0, 1)."""
-        return float(self.uniforms(1)[0])
-
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normal draws."""
         return self._gen.standard_normal(n)
-
-    def normal(self) -> float:
-        """One standard normal draw."""
-        return float(self._gen.standard_normal())

@@ -1,14 +1,14 @@
 """CSV persistence for trajectories and link sample rows.
 
 Reals are serialized with 17 significant digits, which round-trips float64
-exactly.  Files are written to a temporary sibling and renamed into place so
-output is either complete or absent.
+exactly.  Files are written to a uniquely named temporary sibling and renamed
+into place so output is either complete or absent.
 """
 from __future__ import annotations
 
 import csv
 import os
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "trajectories_to_csv",
     "write_trajectories_csv",
     "read_trajectories_csv",
-    "write_link_rows_csv",
     "read_link_rows_csv",
     "mangle_value",
 ]
@@ -38,11 +37,21 @@ def format_real(v: float) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` fully or not at all (temp file + rename)."""
-    tmp = f"{path}.tmp~"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write ``text`` to ``path`` fully or not at all (temp file + rename).
+
+    The temporary file gets a fresh random name, so concurrent writers never
+    share one, and is created with the mode ``open(path, "w")`` would give
+    (0o666 less the umask).  It is removed when anything fails.
+    """
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp~"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def mangle_value(v: float) -> str:
@@ -50,10 +59,25 @@ def mangle_value(v: float) -> str:
     return f"{v:g}".replace(".", "p")
 
 
-def _check_header(reader, expected: tuple[str, ...]) -> None:
-    header = tuple(next(reader, ()))
-    if header != expected:
-        raise ValueError(f"expected header {','.join(expected)!r}, got {header!r}")
+def _read_rows(path: str, header: tuple[str, ...]) -> Iterator[list[str]]:
+    """Data rows of the CSV at ``path`` under ``header``, blank rows skipped.
+
+    Raises ValueError for a different header or a row with another number
+    of fields than the header, naming the row's line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = tuple(next(reader, ()))
+        if found != header:
+            raise ValueError(f"expected header {','.join(header)!r}, got {found!r}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield row
 
 
 def trajectories_to_csv(trajectories: Sequence[Trajectory]) -> str:
@@ -72,33 +96,18 @@ def write_trajectories_csv(path: str, trajectories: Sequence[Trajectory]) -> Non
 def read_trajectories_csv(path: str) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Parse a trajectory CSV back into per-path (times, values) arrays."""
     per_path: dict[int, list[tuple[float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(reader, TRAJECTORY_HEADER)
-        for row in reader:
-            per_path.setdefault(int(row[0]), []).append((float(row[1]), float(row[2])))
+    for pid, t, x in _read_rows(path, TRAJECTORY_HEADER):
+        per_path.setdefault(int(pid), []).append((float(t), float(x)))
     return {
         pid: (np.array([t for t, _ in rows]), np.array([x for _, x in rows]))
         for pid, rows in per_path.items()
     }
 
 
-def write_link_rows_csv(path: str, rows: Sequence[SampleRow]) -> None:
-    lines = [",".join(LINK_HEADER)]
-    for r in rows:
-        lines.append(",".join(format_real(v) for v in (r.lam, r.mu, r.alpha, r.t, r.x)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def read_link_rows_csv(path: str) -> list[SampleRow]:
     """Parse a link-rows CSV with header lambda,mu,alpha,t,x."""
     rows: list[SampleRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(reader, LINK_HEADER)
-        for row in reader:
-            if not row:
-                continue
-            lam, mu, alpha, t, x = (float(v) for v in row)
-            rows.append(SampleRow(lam=lam, mu=mu, alpha=alpha, t=t, x=x))
+    for row in _read_rows(path, LINK_HEADER):
+        lam, mu, alpha, t, x = (float(v) for v in row)
+        rows.append(SampleRow(lam=lam, mu=mu, alpha=alpha, t=t, x=x))
     return rows

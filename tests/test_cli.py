@@ -162,6 +162,24 @@ def test_sweep_rejects_colliding_file_names(tmp_path, alphas):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--alphas", "1.5,2.5"], ["--alphas", "1.5", "--paths", "0"]],
+    ids=["later_alpha", "zero_paths"],
+)
+def test_sweep_checks_every_combination_before_writing(tmp_path, flags):
+    # An invalid later alpha or a bad --paths must leave no file and no --outdir.
+    res = run_cli(
+        ["sweep", "--model", "ou", "--lambdas", "1", "--mus", "1", "--t-end", "1",
+         "--steps", "8", "--seed", "1", "--outdir", "o", *flags],
+        tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert len(res.stderr.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_paths_use_distinct_streams(tmp_path):
     res = run_cli(
         ["sweep", "--model", "ou", "--alphas", "1.5", "--lambdas", "1", "--mus", "1",

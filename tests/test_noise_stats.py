@@ -12,7 +12,6 @@ from levylink.noise_stats import (
     empirical_cdf,
     empirical_ks_one_sample,
     empirical_ks_two_sample,
-    increment,
     increments,
     self_similarity_check,
 )
@@ -36,7 +35,7 @@ def test_zero_scale_gives_zeros_without_consuming_draws():
     out = increments(NoiseSpec(alpha=1.5, scale=0.0), 0.1, stream, 50)
     assert np.array_equal(out, np.zeros(50))
     # The stream must be untouched: its next draw equals a fresh stream's first.
-    assert stream.uniform() == RngStream(30).uniform()
+    assert stream.uniforms(1)[0] == RngStream(30).uniforms(1)[0]
 
 
 def test_gaussian_increment_is_scaled_normal():
@@ -58,12 +57,6 @@ def test_unit_time_increment_distribution_oracle():
     xs = increments(NoiseSpec(alpha=1.5, scale=1.0), 1.0, RngStream(33), 10_000)
     ys = sample_n(StableParams(alpha=1.5), RngStream(34), 10_000)
     assert empirical_ks_two_sample(xs, ys, significance=0.01).passed
-
-
-def test_increment_scalar_form():
-    one = increment(NoiseSpec(alpha=1.2), 0.5, RngStream(35))
-    batch = increments(NoiseSpec(alpha=1.2), 0.5, RngStream(35), 1)
-    assert one == batch[0]
 
 
 def test_increment_rejects_bad_dt():
@@ -137,6 +130,24 @@ def test_ks_rejects_empty_samples():
         empirical_ks_two_sample([], [1.0])
     with pytest.raises(EmptySample):
         empirical_ks_one_sample([], lambda x: x)
+
+
+def test_ks_routines_refuse_nan_samples():
+    nans = np.full(50, math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        empirical_ks_two_sample(nans, nans)
+    with pytest.raises(ValueError, match="NaN"):
+        empirical_ks_two_sample([0.0, 1.0], [0.5, math.nan])
+    with pytest.raises(ValueError, match="NaN"):
+        empirical_ks_one_sample([0.2, math.nan], lambda x: x)
+    with pytest.raises(ValueError, match="NaN"):
+        empirical_cdf([math.nan], [0.0])
+
+
+def test_ks_accepts_infinite_samples():
+    xs = [-math.inf, 0.0, math.inf]
+    assert empirical_ks_two_sample(xs, list(xs), significance=0.05).statistic == 0.0
+    assert np.array_equal(empirical_cdf(xs, [-math.inf, 0.0, math.inf]), [1 / 3, 2 / 3, 1.0])
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,4 +1,4 @@
-"""Euler simulation of the two jump models, degenerate-limit oracles, flags."""
+"""Euler simulation of the two jump models and their flags."""
 import math
 import warnings
 
@@ -13,8 +13,6 @@ from levylink.sde_sim import (
     ModelKind,
     ModelSpec,
     Trajectory,
-    glm_exact_no_jump,
-    ou_exact_deterministic,
     simulate,
 )
 from levylink.streams import RngStream
@@ -280,21 +278,3 @@ def test_simulation_is_deterministic():
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.times, b.times)
 
-
-# --------------------------------------------------------------------- oracles
-
-def test_ou_exact_deterministic_values():
-    assert ou_exact_deterministic(1.0, 1.0, 0.0) == 1.0
-    assert ou_exact_deterministic(1.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert ou_exact_deterministic(1000.0, 5.0, 0.01) == pytest.approx(5.0 * math.exp(-10.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        ou_exact_deterministic(1.0, 1.0, -0.5)
-
-
-def test_glm_exact_no_jump_values():
-    assert glm_exact_no_jump(0.0, 0.0, 3.0, 7.0, 123.0) == 3.0
-    assert glm_exact_no_jump(1.0, 0.0, 1.0, 2.0, 0.0) == pytest.approx(math.exp(2.0), rel=1e-15)
-    b = 0.37
-    assert glm_exact_no_jump(0.0, 1.0, 1.0, 1.0, b) == pytest.approx(math.exp(b - 0.5), rel=1e-15)
-    with pytest.raises(ValueError):
-        glm_exact_no_jump(1.0, 1.0, 1.0, -1.0, 0.0)

@@ -10,7 +10,6 @@ from levylink.stable_rng import (
     ParameterError,
     StableParams,
     cauchy_kernel,
-    sample,
     sample_n,
     skewed_kernel,
     symmetric_kernel,
@@ -70,7 +69,7 @@ def test_sample_n_rejects_nonpositive_count():
 
 def test_sample_rejects_invalid_params():
     with pytest.raises(ParameterError):
-        sample(StableParams(alpha=0.0), RngStream(1))
+        sample_n(StableParams(alpha=0.0), RngStream(1), 1)
 
 
 # ------------------------------------------------------------ forced kernels
@@ -144,14 +143,14 @@ def test_shift_rule_at_unit_index_adds_log_term():
     stream = RngStream(12)
     u = stream.uniforms(2)
     raw = unit_index_kernel(0.5, u[0], u[1])
-    got = sample(StableParams(alpha=1.0, beta=0.5, gamma=2.0, delta=0.0), RngStream(12))
+    got = float(sample_n(StableParams(alpha=1.0, beta=0.5, gamma=2.0, delta=0.0), RngStream(12), 1)[0])
     want = 2.0 * raw + (2.0 / math.pi) * 0.5 * 2.0 * math.log(2.0)
     assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_shift_rule_at_unit_index_zero_scale_collapses_to_delta():
     # gamma * log(gamma) -> 0 as gamma -> 0, so gamma = 0 must not produce NaN.
-    got = sample(StableParams(alpha=1.0, beta=0.9, gamma=0.0, delta=1.25), RngStream(13))
+    got = float(sample_n(StableParams(alpha=1.0, beta=0.9, gamma=0.0, delta=1.25), RngStream(13), 1)[0])
     assert got == 1.25
 
 
@@ -159,13 +158,13 @@ def test_sample_repeated_matches_batch():
     params = StableParams(alpha=1.3, beta=0.2, gamma=1.5, delta=-0.5)
     batch = sample_n(params, RngStream(14), 10)
     stream = RngStream(14)
-    singles = np.array([sample(params, stream) for _ in range(10)])
+    singles = np.array([float(sample_n(params, stream, 1)[0]) for _ in range(10)])
     assert np.array_equal(batch, singles)
 
     params = StableParams(alpha=2.0, delta=4.0)
     batch = sample_n(params, RngStream(15), 10)
     stream = RngStream(15)
-    singles = np.array([sample(params, stream) for _ in range(10)])
+    singles = np.array([float(sample_n(params, stream, 1)[0]) for _ in range(10)])
     assert np.array_equal(batch, singles)
 
 

@@ -1,5 +1,6 @@
 """CSV round-trips, filename mangling, and the SVG renderer."""
 import os
+import stat
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -10,12 +11,13 @@ from levylink.sde_sim import GridSpec, ModelKind, ModelSpec, simulate
 from levylink.streams import RngStream
 from levylink.svgplot import render_paths_svg
 from levylink.trajio import (
+    LINK_HEADER,
+    atomic_write_text,
     format_real,
     mangle_value,
     read_link_rows_csv,
     read_trajectories_csv,
     trajectories_to_csv,
-    write_link_rows_csv,
     write_trajectories_csv,
 )
 
@@ -71,9 +73,12 @@ def test_link_rows_round_trip(tmp_path):
         SampleRow(lam=1.0, mu=0.25, alpha=1.0, t=0.06055, x=0.4198),
         SampleRow(lam=1000.0, mu=0.25, alpha=1.75, t=0.001952, x=0.0374),
     ]
-    path = str(tmp_path / "rows.csv")
-    write_link_rows_csv(path, rows)
-    assert read_link_rows_csv(path) == rows
+    lines = [",".join(LINK_HEADER)]
+    for r in rows:
+        lines.append(",".join(format_real(v) for v in (r.lam, r.mu, r.alpha, r.t, r.x)))
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert read_link_rows_csv(str(path)) == rows
 
 
 def test_link_reader_rejects_wrong_header(tmp_path):
@@ -91,10 +96,42 @@ def test_readers_reject_empty_file(tmp_path, reader):
         reader(str(path))
 
 
+@pytest.mark.parametrize(
+    "reader,text",
+    [
+        (read_trajectories_csv, "path_id,t,x\n0,0,1\n0,0\n"),
+        (read_link_rows_csv, "lambda,mu,alpha,t,x\n\n1,2,1,0\n"),
+    ],
+    ids=["trajectory", "link"],
+)
+def test_readers_reject_short_row_naming_its_line(tmp_path, reader, text):
+    path = tmp_path / "short.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="line 3: expected"):
+        reader(str(path))
+
+
 def test_write_is_atomic_no_temp_left_behind(tmp_path):
     path = str(tmp_path / "out.csv")
     write_trajectories_csv(path, simulate_paths(1))
     assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        atomic_write_text(str(tmp_path / "out.csv"), object())
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_written_file_mode_follows_umask(tmp_path, umask):
+    path = tmp_path / "out.csv"
+    old = os.umask(umask)
+    try:
+        atomic_write_text(str(path), "x\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
 # ------------------------------------------------------------------------ SVG
