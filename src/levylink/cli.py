@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _path_plan(args, triples):
-    """Check ``--paths`` and build one model per (lam, mu, alpha) and the grid."""
+    """Check ``--paths``; build one model per (lam, mu, alpha), the grid and the base stream."""
     if args.paths < 1:
         raise ValueError(f"paths={args.paths} must be a positive integer")
     kind, jumps = ModelKind(args.model), not getattr(args, "no_jumps", False)
@@ -114,14 +114,13 @@ def _path_plan(args, triples):
         ModelSpec(kind=kind, lam=lam, mu=mu, alpha=alpha, x0=args.x0, with_jumps=jumps)
         for lam, mu, alpha in triples
     ]
-    return models, GridSpec(t_end=args.t_end, n_steps=args.steps)
+    return models, GridSpec(t_end=args.t_end, n_steps=args.steps), RngStream(args.seed)
 
 
-def _write_paths(args, model, grid, first_stream_id, csv_path, svg_path):
-    """Simulate ``args.paths`` paths on streams from ``first_stream_id`` and write them."""
+def _write_paths(args, model, grid, base, first_stream_id, csv_path, svg_path):
+    """Simulate ``args.paths`` paths on ``base`` substreams from ``first_stream_id``; write them."""
     trajectories = [
-        simulate(model, grid, RngStream(args.seed, first_stream_id + p))
-        for p in range(args.paths)
+        simulate(model, grid, base.substream(first_stream_id + p)) for p in range(args.paths)
     ]
     write_trajectories_csv(csv_path, trajectories)
     if svg_path:
@@ -129,8 +128,8 @@ def _write_paths(args, model, grid, first_stream_id, csv_path, svg_path):
 
 
 def cmd_simulate(args) -> int:
-    (model,), grid = _path_plan(args, [(args.lam, args.mu, args.alpha)])
-    _write_paths(args, model, grid, 0, args.out, args.svg)
+    (model,), grid, base = _path_plan(args, [(args.lam, args.mu, args.alpha)])
+    _write_paths(args, model, grid, base, 0, args.out, args.svg)
     return 0
 
 
@@ -144,12 +143,12 @@ def cmd_sweep(args) -> int:
     if clashes:
         raise ValueError(f"sweep combinations share output file names: {', '.join(clashes)}")
     # Every combination is checked before anything is written: all or nothing.
-    models, grid = _path_plan(args, combos)
+    models, grid, base = _path_plan(args, combos)
     os.makedirs(args.outdir, exist_ok=True)
     for combo, (model, stem) in enumerate(zip(models, stems)):
         path = os.path.join(args.outdir, stem)
         svg_path = path + ".svg" if args.svg else None
-        _write_paths(args, model, grid, combo * args.paths, path + ".csv", svg_path)
+        _write_paths(args, model, grid, base, combo * args.paths, path + ".csv", svg_path)
     return 0
 
 
@@ -172,7 +171,7 @@ def cmd_fit_link(args) -> int:
 def cmd_rng(args) -> int:
     params = StableParams(alpha=args.alpha, beta=args.beta, gamma=args.gamma, delta=args.delta)
     draws = sample_n(params, RngStream(args.seed), args.n)
-    text = "\n".join(format_real(v) for v in draws) + "\n"
+    text = ("%.17g\n" * draws.size) % tuple(draws.tolist())
     if args.out:
         atomic_write_text(args.out, text)
     else:

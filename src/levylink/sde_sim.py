@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +84,7 @@ class GridSpec:
     def __post_init__(self):
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end={self.t_end!r} must be a positive real")
-        if self.n_steps < 1:
+        if operator.index(self.n_steps) < 1:
             raise ValueError(f"n_steps={self.n_steps} must be a positive integer")
 
     @property

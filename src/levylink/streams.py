@@ -1,6 +1,8 @@
 """Seeded random substreams for reproducible parallel simulation."""
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Smallest value a 53-bit uniform can take once the exact zero is clamped away.
@@ -21,10 +23,10 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if seed < 0 or stream_id < 0:
+        # operator.index refuses floats, which int() would truncate.
+        self.seed, self.stream_id = operator.index(seed), operator.index(stream_id)
+        if self.seed < 0 or self.stream_id < 0:
             raise ValueError("seed and stream_id must be non-negative")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id]))
         )

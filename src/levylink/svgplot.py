@@ -6,6 +6,7 @@ Output is a pure function of the input, so plots are byte-reproducible.
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +19,8 @@ MARGIN_LEFT = 70
 MARGIN_RIGHT = 20
 MARGIN_TOP = 20
 MARGIN_BOTTOM = 50
+
+_MAX = float(np.finfo(float).max)
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -33,7 +36,17 @@ def _bounds(arrays: Sequence[np.ndarray]) -> tuple[float, float]:
     if lo == hi:
         # Degenerate span: center the single value.
         lo, hi = lo - 0.5, hi + 0.5
+        if lo == hi:
+            # Too large for 0.5 to register: widen by one float each way, staying finite.
+            lo, hi = math.nextafter(lo, -_MAX), math.nextafter(hi, _MAX)
     return lo, hi
+
+
+def _fraction(a, b, lo: float, hi: float):
+    """``(a - b) / (hi - lo)``, every term halved first if ``hi - lo`` overflows."""
+    if math.isfinite(hi - lo):
+        return (a - b) / (hi - lo)
+    return (a / 2 - b / 2) / (hi / 2 - lo / 2)
 
 
 def render_paths_svg(paths: Sequence[tuple[np.ndarray, np.ndarray]]) -> str:
@@ -48,12 +61,6 @@ def render_paths_svg(paths: Sequence[tuple[np.ndarray, np.ndarray]]) -> str:
     x_lo, x_hi = _bounds(values)
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-
-    def sx(t: float) -> float:
-        return MARGIN_LEFT + (t - t_lo) / (t_hi - t_lo) * plot_w
-
-    def sy(x: float) -> float:
-        return MARGIN_TOP + (x_hi - x) / (x_hi - x_lo) * plot_h
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -80,7 +87,10 @@ def render_paths_svg(paths: Sequence[tuple[np.ndarray, np.ndarray]]) -> str:
     ]
     for i, (t, x) in enumerate(zip(times, values)):
         keep = np.isfinite(t) & np.isfinite(x)
-        pts = " ".join(f"{sx(ti):.2f},{sy(xi):.2f}" for ti, xi in zip(t[keep], x[keep]))
+        px = MARGIN_LEFT + _fraction(t[keep], t_lo, t_lo, t_hi) * plot_w
+        py = MARGIN_TOP + _fraction(x_hi, x[keep], x_lo, x_hi) * plot_h
+        coords = np.column_stack((px, py)).ravel().tolist()
+        pts = (("%.2f,%.2f " * px.size) % tuple(coords))[:-1]
         color = PALETTE[i % len(PALETTE)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>')
     parts.append("</svg>")

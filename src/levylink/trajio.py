@@ -62,8 +62,9 @@ def mangle_value(v: float) -> str:
 def _read_rows(path: str, header: tuple[str, ...]) -> Iterator[list[str]]:
     """Data rows of the CSV at ``path`` under ``header``, blank rows skipped.
 
-    Raises ValueError for a different header or a row with another number
-    of fields than the header, naming the row's line.
+    Raises ValueError for a different header.  A row with another number of
+    fields than the header, or a ValueError the caller throws in with
+    ``records.throw(exc)`` while holding a row, raises ValueError naming its line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -73,20 +74,21 @@ def _read_rows(path: str, header: tuple[str, ...]) -> Iterator[list[str]]:
         for row in reader:
             if not row:
                 continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            yield row
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                yield row
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def trajectories_to_csv(trajectories: Sequence[Trajectory]) -> str:
-    """CSV text for paths 0..n-1, rows sorted by (path_id, t)."""
-    lines = [",".join(TRAJECTORY_HEADER)]
+    """CSV text for paths 0..n-1, rows sorted by (path_id, t), one ``%`` per path."""
+    parts = [",".join(TRAJECTORY_HEADER) + "\n"]
     for path_id, traj in enumerate(trajectories):
-        for t, x in zip(traj.times, traj.values):
-            lines.append(f"{path_id},{format_real(t)},{format_real(x)}")
-    return "\n".join(lines) + "\n"
+        pairs = np.column_stack((traj.times, traj.values)).ravel().tolist()
+        parts.append((f"{path_id},%.17g,%.17g\n" * len(traj.times)) % tuple(pairs))
+    return "".join(parts)
 
 
 def write_trajectories_csv(path: str, trajectories: Sequence[Trajectory]) -> None:
@@ -96,8 +98,12 @@ def write_trajectories_csv(path: str, trajectories: Sequence[Trajectory]) -> Non
 def read_trajectories_csv(path: str) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Parse a trajectory CSV back into per-path (times, values) arrays."""
     per_path: dict[int, list[tuple[float, float]]] = {}
-    for pid, t, x in _read_rows(path, TRAJECTORY_HEADER):
-        per_path.setdefault(int(pid), []).append((float(t), float(x)))
+    records = _read_rows(path, TRAJECTORY_HEADER)
+    try:
+        for pid, t, x in records:
+            per_path.setdefault(int(pid), []).append((float(t), float(x)))
+    except ValueError as exc:
+        records.throw(exc)
     return {
         pid: (np.array([t for t, _ in rows]), np.array([x for _, x in rows]))
         for pid, rows in per_path.items()
@@ -107,7 +113,11 @@ def read_trajectories_csv(path: str) -> dict[int, tuple[np.ndarray, np.ndarray]]
 def read_link_rows_csv(path: str) -> list[SampleRow]:
     """Parse a link-rows CSV with header lambda,mu,alpha,t,x."""
     rows: list[SampleRow] = []
-    for row in _read_rows(path, LINK_HEADER):
-        lam, mu, alpha, t, x = (float(v) for v in row)
-        rows.append(SampleRow(lam=lam, mu=mu, alpha=alpha, t=t, x=x))
+    records = _read_rows(path, LINK_HEADER)
+    try:
+        for row in records:
+            lam, mu, alpha, t, x = (float(v) for v in row)
+            rows.append(SampleRow(lam=lam, mu=mu, alpha=alpha, t=t, x=x))
+    except ValueError as exc:
+        records.throw(exc)
     return rows

@@ -1,14 +1,22 @@
 """End-to-end CLI tests driven through subprocesses."""
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from levylink import cli
+from levylink.trajio import format_real
 
 
 def run_cli(args, cwd):
@@ -180,6 +188,18 @@ def test_sweep_checks_every_combination_before_writing(tmp_path, flags):
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_with_negative_seed_creates_nothing(tmp_path):
+    res = run_cli(
+        ["sweep", "--model", "ou", "--alphas", "1.5", "--lambdas", "1", "--mus", "1",
+         "--t-end", "1", "--steps", "8", "--seed", "-1", "--outdir", "o"],
+        tmp_path,
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert len(res.stderr.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_paths_use_distinct_streams(tmp_path):
     res = run_cli(
         ["sweep", "--model", "ou", "--alphas", "1.5", "--lambdas", "1", "--mus", "1",
@@ -241,6 +261,13 @@ def test_fit_link_empty_input(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_fit_link_names_the_line_of_a_bad_field(tmp_path):
+    (tmp_path / "rows.csv").write_text(LINK_CSV.replace("0.4561", "abc"))
+    res = run_cli(["fit-link", "--input", "rows.csv"], tmp_path)
+    assert res.returncode == 1
+    assert res.stderr == "error: rows.csv: line 5: could not convert string to float: 'abc'\n"
+
+
 # ------------------------------------------------------------------------ rng
 
 def test_rng_deterministic_output(tmp_path):
@@ -260,6 +287,23 @@ def test_rng_values_parse_back_to_floats(tmp_path):
     values = [float(line) for line in res.stdout.strip().split("\n")]
     assert len(values) == 8
     assert all(np.isfinite(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, -1e300]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    min_size=1, max_size=40,
+))
+def test_rng_text_matches_per_value_join(draws):
+    # In process, with the draws replaced, so any float reaches the formatter.
+    draws = np.array(draws)
+    out = io.StringIO()
+    with mock.patch.object(cli, "sample_n", return_value=draws), contextlib.redirect_stdout(out):
+        assert cli.main(["rng", "--alpha", "1.5", "--n", str(draws.size), "--seed", "1"]) == 0
+    assert out.getvalue() == "\n".join(format_real(v) for v in draws) + "\n"
 
 
 def test_rng_rejects_alpha_out_of_range(tmp_path):

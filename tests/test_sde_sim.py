@@ -91,6 +91,14 @@ def test_grid_spec_validation_and_times():
     assert np.allclose(grid.times(), [0.0, 0.5, 1.0, 1.5, 2.0], rtol=0, atol=0)
 
 
+def test_grid_spec_refuses_non_integer_steps():
+    with pytest.raises(TypeError):
+        GridSpec(t_end=1.0, n_steps=2.5)
+    with pytest.raises(TypeError):
+        GridSpec(t_end=1.0, n_steps=4.0)
+    assert GridSpec(t_end=1.0, n_steps=np.int64(4)).times().size == 5
+
+
 def test_trajectory_shape_and_initial_value():
     grid = GridSpec(t_end=1.0, n_steps=16)
     traj = simulate(ou_model(x0=2.5), grid, RngStream(50))

@@ -179,6 +179,18 @@ def test_determinism_across_stream_reconstruction():
 
 # ------------------------------------------------------------- distribution
 
+@pytest.mark.parametrize("seed,stream_id", [(1.7, 0), (1.0, 0), (1, 2.0), ("1", 0)])
+def test_stream_refuses_non_integer_keys(seed, stream_id):
+    with pytest.raises(TypeError):
+        RngStream(seed, stream_id)
+
+
+def test_stream_accepts_numpy_integer_keys():
+    stream = RngStream(np.int64(3), np.uint8(2))
+    assert stream.key == (3, 2) and all(type(k) is int for k in stream.key)
+    assert np.array_equal(stream.uniforms(4), RngStream(3, 2).uniforms(4))
+
+
 def test_gaussian_branch_moments():
     draws = sample_n(StableParams(alpha=2.0), RngStream(105), 100_000)
     assert abs(float(draws.mean())) < 0.05

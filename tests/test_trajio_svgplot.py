@@ -1,17 +1,32 @@
 """CSV round-trips, filename mangling, and the SVG renderer."""
+import math
 import os
+import re
 import stat
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from levylink.link_fit import SampleRow
 from levylink.sde_sim import GridSpec, ModelKind, ModelSpec, simulate
 from levylink.streams import RngStream
-from levylink.svgplot import render_paths_svg
+from levylink.svgplot import (
+    HEIGHT,
+    MARGIN_BOTTOM,
+    MARGIN_LEFT,
+    MARGIN_RIGHT,
+    MARGIN_TOP,
+    WIDTH,
+    _bounds,
+    render_paths_svg,
+)
 from levylink.trajio import (
     LINK_HEADER,
+    TRAJECTORY_HEADER,
     atomic_write_text,
     format_real,
     mangle_value,
@@ -26,6 +41,72 @@ def simulate_paths(n_paths, seed=80, n_steps=32):
     grid = GridSpec(t_end=1.0, n_steps=n_steps)
     model = ModelSpec(kind=ModelKind.OU, lam=1.0, mu=1.0, alpha=1.3, x0=1.0)
     return [simulate(model, grid, RngStream(seed, p)) for p in range(n_paths)]
+
+
+# Floats that stress the formatters: non-finite values, signed zero,
+# subnormals and magnitudes near the float64 range, plus arbitrary ones.
+SPECIAL_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 0.1, 1.0]
+)
+FLOATS = st.one_of(SPECIAL_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
+PATHS = st.lists(
+    st.integers(0, 12).flatmap(lambda n: st.tuples(st.lists(FLOATS, min_size=n, max_size=n),
+                                                   st.lists(FLOATS, min_size=n, max_size=n))),
+    max_size=4,
+)
+
+
+def _csv_reference(trajectories):
+    """The per-value CSV writer, one f-string per row."""
+    lines = [",".join(TRAJECTORY_HEADER)]
+    for path_id, traj in enumerate(trajectories):
+        for t, x in zip(traj.times, traj.values):
+            lines.append(f"{path_id},{format_real(t)},{format_real(x)}")
+    return "\n".join(lines) + "\n"
+
+
+def _polyline_points_reference(paths):
+    """The per-point polyline loop: ``points`` of each path, scaled one value at a time."""
+    times = [np.asarray(t, dtype=float) for t, _ in paths]
+    values = [np.asarray(x, dtype=float) for _, x in paths]
+    t_lo, t_hi = _bounds(times)
+    x_lo, x_hi = _bounds(values)
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+
+    def sx(t):
+        return MARGIN_LEFT + (t - t_lo) / (t_hi - t_lo) * plot_w
+
+    def sy(x):
+        return MARGIN_TOP + (x_hi - x) / (x_hi - x_lo) * plot_h
+
+    out = []
+    for t, x in zip(times, values):
+        keep = np.isfinite(t) & np.isfinite(x)
+        out.append(" ".join(f"{sx(ti):.2f},{sy(xi):.2f}" for ti, xi in zip(t[keep], x[keep])))
+    return out
+
+
+def _points(svg):
+    return re.findall(r'points="([^"]*)"', svg)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PATHS)
+def test_csv_writer_matches_per_value_reference(paths):
+    trajectories = [SimpleNamespace(times=np.array(t), values=np.array(x)) for t, x in paths]
+    assert trajectories_to_csv(trajectories) == _csv_reference(trajectories)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PATHS)
+def test_svg_polylines_match_per_point_reference(paths):
+    paths = [(np.array(t), np.array(x)) for t, x in paths]
+    for arrays in ([t for t, _ in paths], [x for _, x in paths]):
+        lo, hi = _bounds(arrays)
+        # Spans that overflow float64 take the halving route instead.
+        assume(math.isfinite(hi - lo))
+    assert _points(render_paths_svg(paths)) == _polyline_points_reference(paths)
 
 
 def test_format_real_round_trips_float64():
@@ -111,6 +192,25 @@ def test_readers_reject_short_row_naming_its_line(tmp_path, reader, text):
         reader(str(path))
 
 
+@pytest.mark.parametrize(
+    "reader,text,message",
+    [
+        (read_trajectories_csv, "path_id,t,x\n0,0,1\n\n0,abc,1\n",
+         "line 4: could not convert string to float: 'abc'"),
+        (read_trajectories_csv, "path_id,t,x\n0,0,1\nzero,0.5,1\n",
+         "line 3: invalid literal for int"),
+        (read_link_rows_csv, "lambda,mu,alpha,t,x\n1,2,1,0,abc\n",
+         "line 2: could not convert string to float: 'abc'"),
+    ],
+    ids=["trajectory_float", "trajectory_path_id", "link"],
+)
+def test_readers_name_the_line_of_a_field_that_does_not_parse(tmp_path, reader, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        reader(str(path))
+
+
 def test_write_is_atomic_no_temp_left_behind(tmp_path):
     path = str(tmp_path / "out.csv")
     write_trajectories_csv(path, simulate_paths(1))
@@ -174,3 +274,18 @@ def test_svg_handles_degenerate_span():
 def test_svg_handles_empty_input():
     svg = render_paths_svg([])
     ET.fromstring(svg)
+
+
+def test_svg_span_overflow_keeps_points_finite():
+    # x_hi - x_lo overflows float64 here; 0 must still land at mid-height.
+    svg = render_paths_svg([(np.array([0.0, 1.0, 2.0]), np.array([-1e308, 0.0, 1e308]))])
+    assert _points(svg) == ["70.00,550.00 425.00,285.00 780.00,20.00"]
+
+
+@pytest.mark.parametrize("v", [1e300, -1e300, 2.0**53, 1.7976931348623157e308])
+def test_svg_degenerate_span_of_large_values_stays_finite(v):
+    # 0.5 is below the spacing of these floats, so widening by it changes nothing.
+    (points,) = _points(render_paths_svg([(np.array([0.0, 1.0]), np.array([v, v]))]))
+    assert "nan" not in points
+    ys = {pt.split(",")[1] for pt in points.split()}
+    assert len(ys) == 1 and 20.0 <= float(ys.pop()) <= 550.0
