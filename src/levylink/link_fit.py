@@ -82,6 +82,22 @@ class CollectResult:
     excluded: list[tuple[float, float, float]] = field(default_factory=list)
 
 
+def _median(sample: np.ndarray) -> float:
+    """``np.median`` of a NaN-free sample from a partial sort, 0.0 when empty.
+
+    An even count averages the two middle values as ``(lo + hi) / 2`` in
+    Python floats, the operations ``np.median`` performs, so the bits
+    agree; a sum that overflows gives inf, as there, but without a warning.
+    """
+    half, odd = divmod(sample.size, 2)
+    if odd:
+        return float(np.partition(sample, half)[half])
+    if not half:
+        return 0.0
+    lo, hi = np.partition(sample, (half - 1, half))[half - 1 : half + 1].tolist()
+    return (lo + hi) / 2
+
+
 def detect_first_jump(traj: Trajectory, threshold_factor: float = 10.0):
     """Earliest (time, value) whose increment qualifies as a jump, else None.
 
@@ -96,11 +112,13 @@ def detect_first_jump(traj: Trajectory, threshold_factor: float = 10.0):
     values = np.asarray(traj.values, dtype=float)
     if values.size < 2:
         raise ValueError("trajectory needs at least two points")
-    # inf - inf inside an overflowed path is an expected NaN, not an error.
-    with np.errstate(invalid="ignore"):
+    # inf - inf inside an overflowed path is an expected NaN, and a finite
+    # step past the float range an expected inf, not errors.
+    with np.errstate(over="ignore", invalid="ignore"):
         diffs = np.abs(np.diff(values))
-    finite = diffs[np.isfinite(diffs)]
-    median = float(np.median(finite)) if finite.size else 0.0
+    keep = np.isfinite(diffs)
+    finite = diffs if keep.all() else diffs[keep]
+    median = _median(finite)
     threshold = threshold_factor * median if median > 0.0 else 0.0
     hits = np.flatnonzero(diffs > threshold)
     if hits.size == 0:

@@ -20,6 +20,7 @@ monomials evaluate correctly at the origin.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -63,16 +64,19 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 def enumerate_exponents(n: int, m: int) -> list[tuple[int, ...]]:
     """All exponent vectors of m non-negative integers with sum <= n.
 
-    Exactly C(n+m, n) vectors, in graded lexicographic order.
+    Exactly C(n+m, n) vectors, in graded lexicographic order, as a fresh
+    list on every call.
     """
     if n < 0:
         raise ValueError(f"degree n={n} must be non-negative")
     if m < 1:
         raise ValueError(f"variable count m={m} must be positive")
-    out: list[tuple[int, ...]] = []
-    for grade in range(n + 1):
-        out.extend(_compositions(grade, m))
-    return out
+    return list(_exponents(n, m))
+
+
+@functools.lru_cache(maxsize=64)
+def _exponents(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(e for grade in range(n + 1) for e in _compositions(grade, m))
 
 
 def monomial_row(x: Sequence[float], exponents: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -102,23 +106,34 @@ def build_matrix(nodes, exponents) -> np.ndarray:
 
 
 def determinant(matrix) -> float:
-    """Determinant by Gaussian elimination with partial pivoting."""
+    """Determinant by Gaussian elimination with partial pivoting.
+
+    The elimination runs on Python floats: the pivot is the first entry of
+    largest magnitude (the first NaN, if any, as ``np.argmax`` picks), and
+    each update is one multiply and one subtract, so a duplicated row
+    cancels to an exact 0.0.
+    """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"determinant needs a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    rows = a.tolist()
     det = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
+    for k in range(len(rows)):
+        column = [abs(row[k]) for row in rows[k:]]
+        nans = [i for i, v in enumerate(column) if v != v]
+        p = k + (nans[0] if nans else column.index(max(column)))
+        pivot = rows[p][k]
+        if pivot == 0.0:
             return 0.0
         if p != k:
-            a[[k, p]] = a[[p, k]]
+            rows[k], rows[p] = rows[p], rows[k]
             det = -det
-        det *= a[k, k]
-        if k + 1 < n:
-            factors = a[k + 1 :, k] / a[k, k]
-            a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
+        det *= pivot
+        # Column k below the pivot is never read again, so it is not updated.
+        top = rows[k][k + 1 :]
+        for row in rows[k + 1 :]:
+            f = row[k] / pivot
+            row[k + 1 :] = [x - f * y for x, y in zip(row[k + 1 :], top)]
     return det
 
 
@@ -135,19 +150,17 @@ def singular_tolerance(matrix) -> float:
 
 @dataclass(frozen=True)
 class Interpolant:
-    """Fitted interpolant: nodes, monomial basis, solved coefficients.
+    """Fitted interpolant: monomial basis, node values, solved coefficients.
 
     ``matrix`` is the sample matrix the fit solved against and ``det_m`` its
     cached determinant, reused by the cardinal-function route.
     """
 
-    nodes: np.ndarray
     exponents: list[tuple[int, ...]]
     values: np.ndarray
     coefficients: np.ndarray
     matrix: np.ndarray
     det_m: float
-    degree: int
 
 
 def fit(nodes, values, n: int, m: int) -> Interpolant:
@@ -188,13 +201,11 @@ def fit(nodes, values, n: int, m: int) -> Interpolant:
             f"solve residual {residual:g} exceeds {bound:g}; system too ill-conditioned"
         )
     return Interpolant(
-        nodes=nodes,
         exponents=exponents,
         values=values,
         coefficients=coeff,
         matrix=matrix,
         det_m=det_m,
-        degree=n,
     )
 
 

@@ -22,7 +22,6 @@ trajectory.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -128,8 +127,9 @@ def simulate(model: ModelSpec, grid: GridSpec, stream: RngStream) -> Trajectory:
 
     if model.kind is ModelKind.OU:
         shocks = increments(NoiseSpec(model.alpha, model.mu), dt, stream, n).tolist()
-        keep = 1.0 - lam_dt
-        steps = itertools.accumulate(shocks, lambda x, s: keep * x + s, initial=x0)
+        keep, x = 1.0 - lam_dt, x0
+        steps = [x0]
+        steps += [x := keep * x + s for s in shocks]
         values = np.fromiter(steps, float, n + 1)
     else:
         brownian = (model.mu * math.sqrt(dt)) * stream.normals(n)

@@ -19,7 +19,8 @@ class RngStream:
     ``SeedSequence([seed, stream_id])``.
 
     A single stream advances with every draw and must not be shared across
-    concurrent callers.
+    concurrent callers.  The generator is built on the first draw, so a
+    stream used only for its ``substream`` calls costs no generator set-up.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -27,9 +28,7 @@ class RngStream:
         self.seed, self.stream_id = operator.index(seed), operator.index(stream_id)
         if self.seed < 0 or self.stream_id < 0:
             raise ValueError("seed and stream_id must be non-negative")
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id]))
-        )
+        self._gen = None
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -37,6 +36,13 @@ class RngStream:
     @property
     def key(self) -> tuple[int, int]:
         return (self.seed, self.stream_id)
+
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id]))
+            )
+        return self._gen
 
     def substream(self, offset: int) -> "RngStream":
         """Fresh independent stream with ``stream_id`` shifted by ``offset``."""
@@ -51,8 +57,8 @@ class RngStream:
         fills match repeated scalar draws, so consumers may batch draws
         without changing the stream schedule.
         """
-        return np.maximum(self._gen.random(n), _OPEN_LOW)
+        return np.maximum(self._generator().random(n), _OPEN_LOW)
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normal draws."""
-        return self._gen.standard_normal(n)
+        return self._generator().standard_normal(n)

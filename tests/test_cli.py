@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -353,3 +354,76 @@ def test_unknown_subcommand_is_an_error(tmp_path):
     res = run_cli(["frobnicate"], tmp_path)
     assert res.returncode == 1
     assert res.stderr.startswith("error:")
+
+
+# ----------------------------------------------------------- contract property
+
+# Each flag's values as (usual, rare): the rare ones are malformed or out of
+# range. Counts stay at 3 or below, so no example runs long.
+REAL = (["1", "1.5", "0.5", "2"], ["0", "-1", "2.5", "nan", "inf", "-inf", "1e308", "1e-320", "x", ""])
+COUNT = (["1", "2", "3"], ["0", "-1", "1.5", "x", ""])
+LIST = (["1", "1,2", "0.5,1.5"], ["1.5,1.5", ",", "", "a,1", "nan", "2.5", "1,inf"])
+MODEL = (["ou", "glm"], ["x"])
+OUT = (["o.csv"], [".", "", "d/o.csv", "rows.csv"])
+FLAGS = {
+    "simulate": {"--model": MODEL, "--alpha": REAL, "--lambda": REAL, "--mu": REAL,
+                 "--x0": REAL, "--t-end": REAL, "--steps": COUNT, "--paths": COUNT,
+                 "--seed": COUNT, "--no-jumps": None, "--out": OUT,
+                 "--svg": (["o.svg"], [".", "d/o.svg"])},
+    "sweep": {"--model": MODEL, "--alphas": LIST, "--lambdas": LIST, "--mus": LIST,
+              "--x0": REAL, "--t-end": REAL, "--steps": COUNT, "--paths": COUNT,
+              "--seed": COUNT, "--outdir": (["d"], ["rows.csv", ""]), "--svg": None},
+    "fit-link": {"--input": (["rows.csv"], ["four.csv", "bad.csv", "nope.csv", ".", ""]),
+                 "--out": OUT},
+    "rng": {"--alpha": REAL, "--beta": (["0", "0.5", "-1"], REAL[1]), "--gamma": REAL,
+            "--delta": REAL, "--n": COUNT, "--seed": COUNT, "--out": OUT},
+    "selfsim": {"--alpha": REAL, "--c": REAL, "--t": REAL, "--seed": COUNT,
+                "--significance": (["0.05", "0.01"], ["0.1", "x"]),
+                # The defaults draw 2.56 million variates; keep them small.
+                "--paths": COUNT, "--steps": COUNT},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from([*FLAGS, "frobnicate"]))
+    argv = [command]
+    for flag, values in FLAGS.get(command, {}).items():
+        if command == "selfsim" and flag in ("--paths", "--steps"):
+            pass
+        elif not draw(st.integers(0, 15)):
+            continue
+        if values is None:
+            argv += [flag] if draw(st.booleans()) else []
+        else:
+            usual, rare = values
+            argv += [flag, draw(st.sampled_from(rare if not draw(st.integers(0, 9)) else usual))]
+    if not draw(st.integers(0, 9)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--", "-x", "1"])))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs())
+def test_cli_contract_holds_for_any_argv(tmp_path_factory, argv):
+    # In process: an uncaught exception here is the traceback a user would see.
+    work = tmp_path_factory.mktemp("argv")
+    (work / "rows.csv").write_text(LINK_CSV)
+    (work / "four.csv").write_text(LINK_CSV.rsplit("\n", 2)[0] + "\n")
+    (work / "bad.csv").write_text("lambda,mu,alpha,t,x\n1,2,abc\n")
+    out, err = io.StringIO(), io.StringIO()
+    cwd = Path.cwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    stderr = err.getvalue()
+    assert code in (0, 1, 2), (code, stderr)
+    assert "Traceback" not in stderr
+    if code == 1:
+        assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levylink.link_fit import (
     LinkEquation,
     SampleRow,
+    _median,
     collect_rows,
     detect_first_jump,
     fit_link,
@@ -35,8 +38,10 @@ GLM_ROWS = [
 
 
 def make_traj(values, dt=0.25):
+    # The detector reads only times and values; the model is a placeholder,
+    # so a path may start at a non-finite value.
     values = np.asarray(values, dtype=float)
-    model = ModelSpec(kind=ModelKind.OU, lam=1.0, mu=1.0, alpha=1.5, x0=float(values[0]))
+    model = ModelSpec(kind=ModelKind.OU, lam=1.0, mu=1.0, alpha=1.5, x0=1.0)
     return Trajectory(
         times=dt * np.arange(values.size),
         values=values,
@@ -62,6 +67,34 @@ def scan_for_first_jump(traj, threshold_factor):
         if d > threshold:
             return float(traj.times[k + 1]), float(traj.values[k + 1])
     return None
+
+
+def median_detector(traj, threshold_factor=10.0):
+    # The np.median detector that detect_first_jump replaced, kept as the
+    # bit-for-bit reference; errstate only silences its overflow warnings.
+    values = np.asarray(traj.values, dtype=float)
+    with np.errstate(all="ignore"):
+        diffs = np.abs(np.diff(values))
+        finite = diffs[np.isfinite(diffs)]
+        median = float(np.median(finite)) if finite.size else 0.0
+        threshold = threshold_factor * median if median > 0.0 else 0.0
+    hits = np.flatnonzero(diffs > threshold)
+    if hits.size == 0:
+        return None
+    k = int(hits[0]) + 1
+    return float(traj.times[k]), float(values[k])
+
+
+def bits(hit):
+    return None if hit is None else tuple(v.hex() for v in hit)
+
+
+BIG = 1.7976931348623157e308
+PATH_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan,
+                     1e308, -1e308, BIG, -BIG, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
 
 
 # ------------------------------------------------------------------ SampleRow
@@ -130,6 +163,49 @@ def test_infinite_increment_always_qualifies():
     got = detect_first_jump(traj)
     assert got[0] == 2.0
     assert math.isinf(got[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(PATH_VALUES, min_size=2, max_size=40),
+        # Few distinct levels: tied increments and all-zero paths.
+        st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=2, max_size=12),
+        st.integers(2, 12).map(lambda n: [0.0] * n),
+    ),
+    threshold_factor=st.one_of(
+        st.sampled_from([0.5, 1.0, 2.0, 10.0, 1e300]),
+        st.floats(min_value=1e-6, max_value=1e6),
+    ),
+)
+def test_detector_matches_median_reference_bit_for_bit(values, threshold_factor):
+    traj = make_traj(values)
+    assert bits(detect_first_jump(traj, threshold_factor)) == bits(
+        median_detector(traj, threshold_factor)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, 1.0, 1e308, BIG, 5e-324]),
+                          st.floats(min_value=0.0, allow_infinity=False)),
+                min_size=1, max_size=40))
+def test_partition_median_has_the_bits_of_np_median(sample):
+    with np.errstate(over="ignore"):
+        want = float(np.median(sample))
+    assert _median(np.array(sample)).hex() == want.hex()
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 1.0], [0.0, 1.0, 3.0],                     # one and two increments
+    [0.0, BIG, 0.0, BIG, 0.0],                       # lo + hi overflows
+    [0.0, 1e308, 0.0, -1e308, 0.0, 1e308],
+    [BIG, -BIG, BIG],                                # the increments overflow
+    [0.0, math.nan, 1.0, math.inf, 2.0, 2.0],
+])
+def test_detector_matches_median_reference_at_the_edges(values):
+    traj = make_traj(values)
+    for factor in (0.5, 1.0, 10.0):
+        assert bits(detect_first_jump(traj, factor)) == bits(median_detector(traj, factor))
 
 
 # ------------------------------------------------------------------- fit_link

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levylink.multinterp import (
     DimensionMismatch,
@@ -54,6 +56,13 @@ def test_enumeration_count_identity(n, m):
     assert all(sum(e) <= n and min(e) >= 0 for e in got)
 
 
+def test_enumerate_returns_a_fresh_list():
+    first = enumerate_exponents(1, 2)
+    first.append((9, 9))
+    first[0] = (7, 7)
+    assert enumerate_exponents(1, 2) == [(0, 0), (1, 0), (0, 1)]
+
+
 def test_enumerate_rejects_bad_arguments():
     with pytest.raises(ValueError):
         enumerate_exponents(-1, 2)
@@ -103,6 +112,73 @@ def test_determinant_against_numpy_oracle():
         a = rng.normal(size=(5, 5)) * 10.0 ** rng.integers(-2, 3)
         want = float(np.linalg.det(a))
         assert determinant(a) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def numpy_slice_determinant(matrix):
+    # The numpy row-slice elimination determinant() replaced, kept as the
+    # bit-for-bit reference; errstate only silences its warnings.
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    det = 1.0
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            p = k + int(np.argmax(np.abs(a[k:, k])))
+            if a[p, k] == 0.0:
+                return 0.0
+            if p != k:
+                a[[k, p]] = a[[p, k]]
+                det = -det
+            det *= a[k, k]
+            if k + 1 < n:
+                factors = a[k + 1 :, k] / a[k, k]
+                a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
+    return float(det)
+
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, math.nan, math.inf, -math.inf,
+           5e-324, -5e-324, 2.2e-308, 1e300, -1e300]
+
+
+@st.composite
+def square_matrices(draw, entries):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices(st.one_of(st.sampled_from(SPECIAL), st.floats())), st.data())
+def test_determinant_matches_numpy_slice_reference(sized, data):
+    n, rows = sized
+    if data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, n - 1))] = list(rows[data.draw(st.integers(0, n - 1))])
+    if data.draw(st.booleans()):
+        col = data.draw(st.integers(0, n - 1))
+        for row in rows:
+            row[col] = 0.0
+    assert determinant(rows).hex() == numpy_slice_determinant(rows).hex()
+
+
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2e-308, 1e100]),
+    st.floats(min_value=-1e100, max_value=1e100),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(FINITE), st.data())
+def test_duplicated_row_or_zero_column_gives_exact_zero(sized, data):
+    n, rows = sized
+    if n > 1 and data.draw(st.booleans()):
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        rows[i] = list(rows[j])
+    else:
+        col = data.draw(st.integers(0, n - 1))
+        for row in rows:
+            row[col] = 0.0
+    got = determinant(rows)
+    assert got.hex() == "0x0.0p+0"
+    assert got.hex() == numpy_slice_determinant(rows).hex()
 
 
 def test_determinant_requires_square():

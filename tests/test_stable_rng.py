@@ -185,6 +185,34 @@ def test_stream_refuses_non_integer_keys(seed, stream_id):
         RngStream(seed, stream_id)
 
 
+@pytest.mark.parametrize("seed,stream_id", [(-1, 0), (0, -1)])
+def test_stream_refuses_negative_keys_at_construction(seed, stream_id):
+    with pytest.raises(ValueError):
+        RngStream(seed, stream_id)
+
+
+def test_stream_repr_and_key():
+    stream = RngStream(7, 3)
+    assert repr(stream) == "RngStream(seed=7, stream_id=3)"
+    assert stream.key == (7, 3)
+    assert repr(stream.substream(4)) == "RngStream(seed=7, stream_id=7)"
+
+
+def test_substream_of_undrawn_base_keeps_the_seed_schedule():
+    # The (seed, stream_id) schedule: PCG64 from SeedSequence([seed, id]).
+    def eager(seed, stream_id):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream_id])))
+
+    base = RngStream(11, 5)
+    for i in (0, 1, 9):
+        sub, ref = base.substream(i), eager(11, 5 + i)
+        want_u = np.maximum(ref.random(6), 2.0 ** -53)
+        want_n = ref.standard_normal(6)
+        assert sub.uniforms(6).tobytes() == want_u.tobytes()
+        assert sub.normals(6).tobytes() == want_n.tobytes()
+    assert base.normals(3).tobytes() == eager(11, 5).standard_normal(3).tobytes()
+
+
 def test_stream_accepts_numpy_integer_keys():
     stream = RngStream(np.int64(3), np.uint8(2))
     assert stream.key == (3, 2) and all(type(k) is int for k in stream.key)
