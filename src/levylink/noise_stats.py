@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .stable_rng import StableParams, sample_n, validate
+from .stable_rng import StableParams, positive_count, sample_n, validate
 from .streams import RngStream
 
 __all__ = [
@@ -77,16 +77,32 @@ def increments(spec: NoiseSpec, dt: float, stream: RngStream, n: int) -> np.ndar
 
     Each increment is scale * dt**(1/alpha) * S with S standard symmetric
     stable.  Zero amplitude short-circuits to exact zeros and consumes no
-    draws from the stream.
+    draws from the stream.  A dt whose dt**(1/alpha) overflows float64 is
+    refused with ``ValueError`` before anything is drawn; one whose
+    dt**(1/alpha) underflows to zero gives NaN for each infinite draw.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt={dt!r} must be a positive real")
+    n = positive_count(n, "n")
     if spec.scale == 0.0:
-        if n < 1:
-            raise ValueError(f"n={n} must be a positive integer")
         return np.zeros(n)
+    factor = spec.scale * _power(dt, spec.alpha, "dt")
     draws = sample_n(StableParams(alpha=spec.alpha), stream, n)
-    return (spec.scale * dt ** (1.0 / spec.alpha)) * draws
+    # In place, the bits of factor * draws.  Heavy tails overflow legitimately,
+    # and a factor that underflows to 0 makes an infinite draw NaN (0 * inf).
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws *= factor
+    return draws
+
+
+def _power(base: float, alpha: float, name: str) -> float:
+    """``base ** (1/alpha)``; ``ValueError`` naming both when it overflows float64."""
+    try:
+        return base ** (1.0 / alpha)
+    except OverflowError:
+        raise ValueError(
+            f"{name}**(1/alpha) overflows float64 for {name}={base!r}, alpha={alpha!r}"
+        ) from None
 
 
 def _sample(xs: Sequence[float], what: str) -> np.ndarray:
@@ -116,13 +132,20 @@ def empirical_ks_two_sample(
     The statistic is the supremum distance between the two empirical CDFs,
     attained at one of the pooled sample points; the critical value is
     c(significance) * sqrt((n + m) / (n * m)).
+
+    Each sample is sorted once, and both CDFs are evaluated at the two
+    sorted samples concatenated: the pooled points in an order
+    ``searchsorted`` walks quickly.  Each CDF value is the same count over
+    the same size, and the maximum runs over the same points, so the
+    statistic has the bits of evaluating :func:`empirical_cdf` at the
+    unsorted pooled sample.
     """
     coeff = _ks_coefficient(significance)
-    xs = _sample(xs, "two-sample KS")
-    ys = _sample(ys, "two-sample KS")
+    xs = np.sort(_sample(xs, "two-sample KS"))
+    ys = np.sort(_sample(ys, "two-sample KS"))
     pooled = np.concatenate([xs, ys])
-    fx = empirical_cdf(xs, pooled)
-    fy = empirical_cdf(ys, pooled)
+    fx = np.searchsorted(xs, pooled, side="right") / xs.size
+    fy = np.searchsorted(ys, pooled, side="right") / ys.size
     stat = float(np.max(np.abs(fx - fy)))
     crit = coeff * math.sqrt((xs.size + ys.size) / (xs.size * ys.size))
     return KsReport(statistic=stat, critical_value=crit, passed=stat < crit, significance=significance)
@@ -164,8 +187,11 @@ def self_similarity_check(
         raise ValueError(f"c={c!r} must be a positive real")
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"t={t!r} must be a positive real")
-    if n_paths < 1 or n_steps < 1:
-        raise ValueError("n_paths and n_steps must be positive integers")
+    n_paths = positive_count(n_paths, "n_paths")
+    n_steps = positive_count(n_steps, "n_steps")
+    if not math.isfinite(c * t):
+        raise ValueError(f"c*t overflows float64 for c={c!r}, t={t!r}")
+    stretch = _power(c, alpha, "c")
     spec = NoiseSpec(alpha=alpha, scale=1.0)
 
     def endpoints(horizon: float) -> np.ndarray:
@@ -173,6 +199,10 @@ def self_similarity_check(
         steps = increments(spec, dt, stream, n_paths * n_steps)
         return steps.reshape(n_paths, n_steps).sum(axis=1)
 
-    stretched = endpoints(c * t)
-    rescaled = c ** (1.0 / alpha) * endpoints(t)
+    # Heavy tails may overflow the sums and the rescale; inf - inf is NaN,
+    # which the KS refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        stretched = endpoints(c * t)
+        rescaled = endpoints(t)
+        rescaled *= stretch
     return empirical_ks_two_sample(stretched, rescaled, significance)

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .noise_stats import NoiseSpec, increments
-from .stable_rng import StableParams, validate
+from .stable_rng import StableParams, positive_count, validate
 from .streams import RngStream
 
 __all__ = [
@@ -83,8 +82,7 @@ class GridSpec:
     def __post_init__(self):
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end={self.t_end!r} must be a positive real")
-        if operator.index(self.n_steps) < 1:
-            raise ValueError(f"n_steps={self.n_steps} must be a positive integer")
+        positive_count(self.n_steps, "n_steps")
 
     @property
     def dt(self) -> float:

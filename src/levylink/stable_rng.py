@@ -22,7 +22,13 @@ and so on.  Uniforms come from ``RngStream.uniforms`` and live strictly
 inside (0, 1).
 
 Shift rule: x = gamma * r + delta, except alpha == 1 where the location
-additionally picks up (2/pi) * beta * gamma * log(gamma).
+additionally picks up (2/pi) * beta * gamma * log(gamma).  A zero scale
+maps every draw to the location, an infinite one included.
+
+Near alpha -> 0 and alpha -> 1 the CMS product can meet 0 * inf, inf / inf
+or a rounded-negative cosine and give NaN.  ``sample_n`` re-evaluates just
+those lanes with :func:`log_space_kernel`, so every other draw keeps the
+bits of the product form.
 
 The kernels are module-level functions of the raw uniforms so tests can
 force specific internal draws.
@@ -30,6 +36,7 @@ force specific internal draws.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +52,7 @@ __all__ = [
     "symmetric_kernel",
     "skewed_kernel",
     "unit_index_kernel",
+    "log_space_kernel",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -69,6 +77,18 @@ class ParameterError(ValueError):
         self.value = value
         self.allowed = allowed
         super().__init__(f"{field}={value!r} must lie in {allowed}")
+
+
+def positive_count(value, name: str) -> int:
+    """``value`` as an int of at least 1; ``TypeError`` unless it is an integer."""
+    try:
+        # operator.index refuses floats, which int() would truncate.
+        count = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name}={value!r} must be an integer") from None
+    if count < 1:
+        raise ValueError(f"{name}={count} must be a positive integer")
+    return count
 
 
 def validate(params: StableParams) -> None:
@@ -127,35 +147,70 @@ def unit_index_kernel(beta, u1, u2):
     return (shifted * np.tan(v) - beta * np.log(_HALF_PI * w * np.cos(v) / shifted)) / _HALF_PI
 
 
+def log_space_kernel(alpha, beta, u1, u2):
+    """The variate of :func:`skewed_kernel` for alpha != 1, evaluated in log space.
+
+    With c = beta * tan(pi/2 * alpha), the identity
+    cos(x - atan(c)) = (cos(x) + c * sin(x)) / sqrt(1 + c**2) cancels the
+    scale factor, so the variate is
+
+        (sin(alpha*V) + c*cos(alpha*V)) / cos(V)**(1/alpha)
+            * ((cos((1-alpha)*V) + c*sin((1-alpha)*V)) / W)**((1-alpha)/alpha).
+
+    Its magnitude is summed as logarithms with the 1/alpha factor applied
+    once, to a sum that stays finite, so no 0 * inf or inf - inf arises.
+    An exact zero numerator gives a zero variate.  It agrees with the
+    product form to rounding where both are finite, and is slower.
+    """
+    v = _angle(u1)
+    w = -np.log(u2)
+    const = beta * math.tan(_HALF_PI * alpha)
+    top = np.sin(alpha * v) + const * np.cos(alpha * v)
+    x = (1.0 - alpha) * v
+    base = np.cos(x) + const * np.sin(x)
+    log_size = np.log(np.abs(top)) + (
+        (1.0 - alpha) * (np.log(base) - np.log(w)) - np.log(np.cos(v))
+    ) / alpha
+    return np.where(top == 0.0, top, np.copysign(np.exp(log_size), top))
+
+
 def _shift(r, params: StableParams):
-    """Apply the scale/location rule to standard variates ``r``."""
-    if params.alpha != 1.0:
-        return params.gamma * r + params.delta
+    """Apply the scale/location rule to standard variates ``r``, in place."""
     loc = params.delta
-    if params.beta != 0.0 and params.gamma > 0.0:
+    if params.alpha == 1.0 and params.beta != 0.0 and params.gamma > 0.0:
         # gamma * log(gamma) -> 0 as gamma -> 0, so gamma == 0 adds nothing.
         loc = (2.0 / math.pi) * params.beta * params.gamma * math.log(params.gamma) + params.delta
-    return params.gamma * r + loc
+    r *= params.gamma
+    if params.gamma == 0.0:
+        r[np.isnan(r)] = 0.0  # 0 * inf: the degenerate law sits at loc
+    r += loc
+    return r
 
 
 def sample_n(params: StableParams, stream: RngStream, n: int) -> np.ndarray:
     """Draw ``n`` independent stable variates from ``stream``.
 
     Element ``i`` equals the i-th value of ``n`` repeated one-variate calls
-    on the same stream; batching does not change the draw schedule.
+    on the same stream; batching does not change the draw schedule.  No
+    draw is NaN for valid ``params`` (alpha near 0 or 1 included); tails
+    may overflow to +-inf.  The result is a fresh array.
     """
     validate(params)
-    if n < 1:
-        raise ValueError(f"n={n} must be a positive integer")
+    n = positive_count(n, "n")
     a, b = params.alpha, params.beta
     # Stable tails legitimately overflow float64; propagate IEEE infs.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # Each branch makes a fresh array, which is scaled and shifted in
+        # place: the same IEEE operations as out of place, without temporaries.
         if a == 2.0:
-            r = _SQRT2 * stream.normals(n)
+            r = stream.normals(n)
+            r *= _SQRT2
         elif a == 1.0 and b == 0.0:
             r = cauchy_kernel(stream.uniforms(n))
         elif a == 0.5 and abs(b) == 1.0:
-            r = b / stream.normals(n) ** 2
+            r = stream.normals(n)
+            np.square(r, out=r)
+            np.divide(b, r, out=r)
         else:
             u = stream.uniforms(2 * n)
             u1, u2 = u[0::2], u[1::2]
@@ -165,4 +220,7 @@ def sample_n(params: StableParams, stream: RngStream, n: int) -> np.ndarray:
                 r = skewed_kernel(a, b, u1, u2)
             else:
                 r = unit_index_kernel(b, u1, u2)
+            if a != 1.0 and np.isnan(r).any():
+                lanes = np.isnan(r)
+                r[lanes] = log_space_kernel(a, b, u1[lanes], u2[lanes])
         return _shift(r, params)

@@ -350,6 +350,72 @@ def test_selfsim_rejects_bad_c(tmp_path):
     assert res.stderr.startswith("error:")
 
 
+def test_selfsim_overflowing_stretch_is_an_error_line(tmp_path):
+    # c**(1/alpha) = 1e600 does not fit a float64.
+    res = run_cli(
+        ["selfsim", "--alpha", "0.5", "--c", "1e300", "--seed", "1", "--paths", "10",
+         "--steps", "4"],
+        tmp_path,
+    )
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert res.stdout == ""
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+    assert "c=1e+300" in res.stderr and "alpha=0.5" in res.stderr
+
+
+def test_simulate_overflowing_step_scale_is_an_error_line(tmp_path):
+    # dt = 2.5e299 and dt**(1/alpha) = dt**2 does not fit a float64.
+    res = run_cli(
+        ["simulate", "--model", "ou", "--alpha", "0.5", "--lambda", "1", "--mu", "1",
+         "--t-end", "1e300", "--steps", "4", "--seed", "1", "--out", "x.csv"],
+        tmp_path,
+    )
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+    assert "dt=" in res.stderr and "alpha=0.5" in res.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_rng_small_alpha_prints_no_nan(tmp_path):
+    res = run_cli(["rng", "--alpha", "0.001", "--n", "6", "--seed", "3"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    values = [float(line) for line in res.stdout.splitlines()]
+    assert len(values) == 6
+    assert not any(math.isnan(v) for v in values), res.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # dt**(1/alpha) underflows to 0: 0 * inf increments, then NaN endpoints.
+        ["selfsim", "--alpha", "1e-320", "--c", "1", "--seed", "0", "--paths", "1", "--steps", "2"],
+        ["selfsim", "--alpha", "0.001", "--c", "1", "--seed", "0", "--paths", "50", "--steps", "4"],
+        # dt = 1: infinite increments of both signs summed into one endpoint.
+        ["selfsim", "--alpha", "0.001", "--c", "1", "--t", "4", "--seed", "0", "--paths", "50",
+         "--steps", "4"],
+        ["simulate", "--model", "ou", "--alpha", "0.001", "--lambda", "1", "--mu", "1",
+         "--t-end", "1", "--steps", "8", "--seed", "1", "--out", "o.csv"],
+        # c**(1/alpha) = 1e300 times large finite endpoints overflows.
+        ["selfsim", "--alpha", "0.01", "--c", "1000", "--seed", "0", "--paths", "50",
+         "--steps", "1"],
+        # dt = 2: finite draws times 2**1000 overflow.
+        ["simulate", "--model", "ou", "--alpha", "0.001", "--lambda", "1", "--mu", "1",
+         "--t-end", "16", "--steps", "8", "--seed", "1", "--out", "o.csv"],
+    ],
+)
+def test_tiny_alpha_commands_exit_cleanly_without_warnings(tmp_path, monkeypatch, argv):
+    # In process, where a numpy RuntimeWarning is an error (pyproject filterwarnings).
+    monkeypatch.chdir(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+
+
 def test_unknown_subcommand_is_an_error(tmp_path):
     res = run_cli(["frobnicate"], tmp_path)
     assert res.returncode == 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from levylink.noise_stats import (
     EmptySample,
@@ -85,6 +86,56 @@ def test_sum_consistency(alpha, seed):
     assert empirical_ks_two_sample(summed, whole, significance=0.01).passed
 
 
+@pytest.mark.parametrize(
+    "alpha,scale,dt", [(2.0, 1.0, 0.25), (1.0, 0.7, 1.0 / 3.0), (1.5, 2.0, 0.01), (0.6, 1e-3, 7.5)]
+)
+def test_increments_have_the_bits_of_factor_times_sample_n(alpha, scale, dt):
+    # The factor multiplies the fresh draws in place: the same IEEE product.
+    got = increments(NoiseSpec(alpha, scale), dt, RngStream(51), 400)
+    want = (scale * dt ** (1.0 / alpha)) * sample_n(StableParams(alpha=alpha), RngStream(51), 400)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.5])
+def test_increments_return_a_fresh_buffer(scale):
+    stream = RngStream(52)
+    a = increments(NoiseSpec(1.2, scale), 0.1, stream, 32)
+    b = increments(NoiseSpec(1.2, scale), 0.1, stream, 32)
+    assert not np.shares_memory(a, b)
+
+
+def test_increments_refuse_an_overflowing_step_scale_before_drawing():
+    # dt**(1/alpha) = (2.5e299)**2 does not fit a float64.
+    stream = RngStream(53)
+    with pytest.raises(ValueError, match=r"dt=2\.5e\+299.*alpha=0\.5"):
+        increments(NoiseSpec(alpha=0.5), 2.5e299, stream, 4)
+    assert stream.uniforms(1)[0] == RngStream(53).uniforms(1)[0]
+
+
+def test_increments_overflow_silently():
+    # dt**(1/alpha) = 2**1000: large finite draws overflow to +-inf.
+    got = increments(NoiseSpec(alpha=0.001), 2.0, RngStream(59), 1000)
+    draws = sample_n(StableParams(alpha=0.001), RngStream(59), 1000)
+    assert np.isinf(got[np.isfinite(draws)]).any()
+    assert not np.isnan(got).any()
+
+
+def test_increments_with_an_underflowed_factor_are_nan_only_at_infinite_draws():
+    # dt**(1/alpha) = 0.5**10000 underflows to 0: IEEE 0 * inf, without a warning.
+    got = increments(NoiseSpec(alpha=1e-4), 0.5, RngStream(60), 1000)
+    draws = sample_n(StableParams(alpha=1e-4), RngStream(60), 1000)
+    assert np.isinf(draws).any()
+    assert np.array_equal(np.isnan(got), np.isinf(draws))
+    assert np.all(got[np.isfinite(draws)] == 0.0)
+
+
+@pytest.mark.parametrize("n", [3.0, 2.5, "3", None])
+@pytest.mark.parametrize("scale", [0.0, 1.0])
+def test_increments_refuse_a_non_integer_count(n, scale):
+    with pytest.raises(TypeError, match="n="):
+        increments(NoiseSpec(1.5, scale), 0.1, RngStream(1), n)
+
+
 # -------------------------------------------------------------- empirical CDF
 
 def test_empirical_cdf_step_values():
@@ -161,6 +212,57 @@ def test_ks_two_sample_is_symmetric(xs, ys):
     assert a.statistic == b.statistic
 
 
+def pooled_ks_statistic(xs, ys):
+    """The two-sample statistic by definition: both CDFs at the unsorted pooled sample."""
+    pooled = np.concatenate([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)])
+    return float(np.max(np.abs(empirical_cdf(xs, pooled) - empirical_cdf(ys, pooled))))
+
+
+def scipy_ks_statistic(xs, ys):
+    # Only the statistic is compared; the p-value of a tiny sample divides by zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return stats.ks_2samp(xs, ys, method="asymp").statistic
+
+
+# Ties, signed zeros, infinities, subnormals and huge magnitudes, plus any float.
+KS_VALUES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 5e-324, -5e-324,
+         2.2250738585072014e-308, 1e300, -1e300]
+    ),
+    st.integers(-3, 3).map(float),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    xs=st.lists(KS_VALUES, min_size=1, max_size=300),
+    ys=st.lists(KS_VALUES, min_size=1, max_size=300),
+    significance=st.sampled_from([0.05, 0.01]),
+)
+def test_sort_once_ks_has_the_bits_of_the_pooled_definition(xs, ys, significance):
+    report = empirical_ks_two_sample(xs, ys, significance=significance)
+    want = pooled_ks_statistic(xs, ys)
+    assert report.statistic.hex() == want.hex()
+    assert report.passed == (want < report.critical_value)
+    assert report.statistic == scipy_ks_statistic(xs, ys)
+
+
+def test_sort_once_ks_on_criterion_sized_stable_samples():
+    xs = sample_n(StableParams(alpha=1.2, beta=0.3), RngStream(54), 10_000)
+    ys = sample_n(StableParams(alpha=1.2, beta=0.3), RngStream(55), 10_000)
+    report = empirical_ks_two_sample(xs, ys)
+    assert report.statistic.hex() == pooled_ks_statistic(xs, ys).hex()
+    assert report.statistic == scipy_ks_statistic(xs, ys)
+
+
+def test_ks_two_sample_leaves_its_inputs_alone():
+    xs, ys = np.array([3.0, -1.0, 2.0]), np.array([0.5, -4.0])
+    empirical_ks_two_sample(xs, ys)
+    assert xs.tolist() == [3.0, -1.0, 2.0] and ys.tolist() == [0.5, -4.0]
+
+
 def test_ks_one_sample_exact_uniform_grid():
     # Sample {0.25, 0.75} against the uniform CDF on [0, 1]:
     # D = max(1/2 - 1/4, 1 - 3/4, 1/4 - 0, 3/4 - 1/2) = 0.25.
@@ -200,3 +302,30 @@ def test_self_similarity_validation():
         self_similarity_check(1.5, 2.0, 1.0, 0, 10, RngStream(1))
     with pytest.raises(ValueError):
         self_similarity_check(2.5, 2.0, 1.0, 10, 10, RngStream(1))
+
+
+def test_self_similarity_refuses_an_overflowing_stretch_before_drawing():
+    # c**(1/alpha) = 1e400 does not fit a float64; c * t alone is harmless.
+    stream = RngStream(56)
+    with pytest.raises(ValueError, match=r"c=10000\.0.*alpha=0\.01"):
+        self_similarity_check(0.01, 1e4, 1e-6, 10, 1, stream)
+    assert stream.uniforms(1)[0] == RngStream(56).uniforms(1)[0]
+
+
+def test_self_similarity_refuses_an_overflowing_horizon():
+    with pytest.raises(ValueError, match=r"c\*t .*c=1e\+300, t=10000000000\.0"):
+        self_similarity_check(2.0, 1e300, 1e10, 10, 4, RngStream(58))
+
+
+@pytest.mark.parametrize(
+    "n_paths,n_steps,name", [(10.5, 4, "n_paths"), (10, 4.0, "n_steps"), ("10", 4, "n_paths")]
+)
+def test_self_similarity_refuses_non_integer_counts(n_paths, n_steps, name):
+    with pytest.raises(TypeError, match=name):
+        self_similarity_check(1.5, 2.0, 1.0, n_paths, n_steps, RngStream(1))
+
+
+def test_self_similarity_accepts_numpy_integer_counts():
+    a = self_similarity_check(1.5, 2.0, 1.0, np.int64(50), np.int32(4), RngStream(57))
+    b = self_similarity_check(1.5, 2.0, 1.0, 50, 4, RngStream(57))
+    assert a == b

@@ -10,6 +10,7 @@ from levylink.stable_rng import (
     ParameterError,
     StableParams,
     cauchy_kernel,
+    log_space_kernel,
     sample_n,
     skewed_kernel,
     symmetric_kernel,
@@ -65,6 +66,16 @@ def test_validate_accepts_boundary_values():
 def test_sample_n_rejects_nonpositive_count():
     with pytest.raises(ValueError):
         sample_n(StableParams(alpha=1.5), RngStream(1), 0)
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, "3", None])
+def test_sample_n_refuses_a_non_integer_count(n):
+    with pytest.raises(TypeError, match="n="):
+        sample_n(StableParams(alpha=1.5), RngStream(1), n)
+
+
+def test_sample_n_accepts_a_numpy_integer_count():
+    assert sample_n(StableParams(alpha=1.5), RngStream(1), np.int64(5)).shape == (5,)
 
 
 def test_sample_rejects_invalid_params():
@@ -175,6 +186,141 @@ def test_determinism_across_stream_reconstruction():
     assert np.array_equal(a, b)
     c = sample_n(params, RngStream(21, 4), 1000)
     assert not np.array_equal(a, c)
+
+
+# ------------------------------------------------------- in-place scale chain
+
+def out_of_place_sample_n(params, stream, n):
+    """``sample_n`` with every scale and shift building a new array.
+
+    The reference for the in-place chain: the same kernels and the same
+    scalar-times-array and array-plus-scalar operations, out of place.
+    """
+    a, b = params.alpha, params.beta
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if a == 2.0:
+            r = math.sqrt(2.0) * stream.normals(n)
+        elif a == 1.0 and b == 0.0:
+            r = cauchy_kernel(stream.uniforms(n))
+        elif a == 0.5 and abs(b) == 1.0:
+            r = b / stream.normals(n) ** 2
+        else:
+            u = stream.uniforms(2 * n)
+            if b == 0.0:
+                r = symmetric_kernel(a, u[0::2], u[1::2])
+            elif a != 1.0:
+                r = skewed_kernel(a, b, u[0::2], u[1::2])
+            else:
+                r = unit_index_kernel(b, u[0::2], u[1::2])
+        if a != 1.0:
+            return params.gamma * r + params.delta
+        loc = params.delta
+        if b != 0.0 and params.gamma > 0.0:
+            loc = (2.0 / math.pi) * b * params.gamma * math.log(params.gamma) + params.delta
+        return params.gamma * r + loc
+
+
+# One (alpha, beta) per branch; alpha = 1 with beta != 0 adds the log(gamma) term.
+BRANCHES = [
+    (2.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (1.3, 0.0), (0.7, 0.4), (1.0, -0.6), (1.0, 0.9),
+]
+
+
+@pytest.mark.parametrize("alpha,beta", BRANCHES)
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 1e300])
+@pytest.mark.parametrize("delta", [-1.75, 2.5])
+def test_in_place_chain_has_the_bits_of_the_out_of_place_one(alpha, beta, gamma, delta):
+    params = StableParams(alpha, beta, gamma, delta)
+    want = out_of_place_sample_n(params, RngStream(70), 500)
+    assert not np.isnan(want).any()
+    assert sample_n(params, RngStream(70), 500).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha,beta", BRANCHES)
+def test_sample_n_returns_a_fresh_buffer(alpha, beta):
+    params = StableParams(alpha, beta, 2.0, 1.0)
+    stream = RngStream(71)
+    a, b = sample_n(params, stream, 64), sample_n(params, stream, 64)
+    assert not np.shares_memory(a, b)
+    c = sample_n(params, RngStream(71), 64)
+    assert np.array_equal(a, c) and not np.shares_memory(a, c)
+
+
+# ------------------------------------------- numerics near alpha -> 0 and 1
+
+ONE_UP, ONE_DOWN = math.nextafter(1.0, math.inf), math.nextafter(1.0, -math.inf)
+
+# Uniforms at both ends of their range, next to them and at the centre.
+_EDGE = [2.0**-53, 2.0**-52, 1e-10, 0.25, 0.5, 0.75, 1.0 - 1e-10, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+EDGE_U1, EDGE_U2 = (g.ravel() for g in np.meshgrid(_EDGE, _EDGE))
+
+
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [(0.001, 0.0), (0.001, 0.5), (1e-300, -0.3), (5e-324, 0.0), (5e-324, 1.0)],
+)
+def test_sample_n_draws_no_nan_as_alpha_goes_to_zero(alpha, beta):
+    # The product form gave NaN for about a fifth of these draws at alpha = 0.001.
+    draws = sample_n(StableParams(alpha, beta), RngStream(3), 100_000)
+    assert not np.isnan(draws).any()
+
+
+@pytest.mark.parametrize("alpha", [ONE_UP, ONE_DOWN])
+@pytest.mark.parametrize("beta", [-1.0, -0.5, 0.5, 1.0])
+def test_sample_n_draws_are_finite_next_to_alpha_one(alpha, beta):
+    # S1 is discontinuous at alpha = 1 with skew: draws near 1e15, finite.
+    draws = sample_n(StableParams(alpha, beta), RngStream(3), 100_000)
+    assert np.isfinite(draws).all()
+
+
+def test_only_the_nan_lanes_leave_the_product_form():
+    n, alpha = 20_000, 0.001
+    u = RngStream(3).uniforms(2 * n)
+    with np.errstate(all="ignore"):
+        product = symmetric_kernel(alpha, u[0::2], u[1::2])
+        log_form = log_space_kernel(alpha, 0.0, u[0::2], u[1::2])
+    nan = np.isnan(product)
+    assert nan.any() and not np.isnan(log_form).any()
+    want = 1.0 * np.where(nan, log_form, product) + 0.0
+    assert sample_n(StableParams(alpha), RngStream(3), n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [5e-324, 1e-300, 1e-5, 0.001, 0.3, 0.5, ONE_DOWN, ONE_UP, 1.5, 1.99])
+@pytest.mark.parametrize("beta", [-1.0, -0.5, 0.0, 0.5, 1.0])
+def test_log_space_kernel_gives_no_nan_at_edge_uniforms(alpha, beta):
+    with np.errstate(all="ignore"):
+        assert not np.isnan(log_space_kernel(alpha, beta, EDGE_U1, EDGE_U2)).any()
+
+
+@pytest.mark.parametrize("beta", [-1.0, -0.5, 0.5, 1.0])
+def test_unit_index_kernel_gives_no_nan_at_edge_uniforms(beta):
+    with np.errstate(all="ignore"):
+        assert not np.isnan(unit_index_kernel(beta, EDGE_U1, EDGE_U2)).any()
+
+
+def test_log_space_kernel_vanishes_at_central_angle():
+    # u1 = 0.5 puts V at 0; a zero numerator is a zero variate, not exp(-inf + inf).
+    with np.errstate(divide="ignore"):
+        assert log_space_kernel(1e-300, 0.0, np.array([0.5]), np.array([0.1]))[0] == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.3, 1.7])
+@pytest.mark.parametrize("beta", [-0.5, 0.0, 0.5])
+def test_log_space_kernel_agrees_with_the_product_form(alpha, beta):
+    u = RngStream(72).uniforms(4000)
+    u1, u2 = u[0::2], u[1::2]
+    product = skewed_kernel(alpha, beta, u1, u2)
+    plain = (np.abs(product) > 1e-100) & (np.abs(product) < 1e100)
+    assert plain.sum() > 1900
+    got = log_space_kernel(alpha, beta, u1, u2)
+    assert np.allclose(got[plain], product[plain], rtol=1e-9, atol=0)
+
+
+def test_zero_scale_maps_infinite_draws_to_the_location():
+    draws = sample_n(StableParams(0.001, 0.3), RngStream(73), 10_000)
+    assert np.isinf(draws).any()
+    zero = sample_n(StableParams(0.001, 0.3, gamma=0.0, delta=1.25), RngStream(73), 10_000)
+    assert np.all(zero == 1.25)
 
 
 # ------------------------------------------------------------- distribution
