@@ -14,21 +14,13 @@ import os
 import sys
 from collections import Counter
 
-from .link_fit import fit_link
-from .noise_stats import self_similarity_check
-from .sde_sim import GridSpec, ModelKind, ModelSpec, simulate
-from .stable_rng import StableParams, sample_n
-from .streams import RngStream
-from .svgplot import render_paths_svg
-from .trajio import (
-    atomic_write_text,
-    format_real,
-    mangle_value,
-    read_link_rows_csv,
-    write_trajectories_csv,
-)
+# Only stdlib at module level: each command imports the levylink modules it
+# uses, so --help and usage errors never load numpy.
 
 __all__ = ["main"]
+
+# The values of sde_sim.ModelKind, spelled out so the parser needs no numpy.
+_MODEL_CHOICES = ("ou", "glm")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="simulate sample paths and write CSV/SVG")
-    sim.add_argument("--model", choices=[k.value for k in ModelKind], required=True)
+    sim.add_argument("--model", choices=_MODEL_CHOICES, required=True)
     sim.add_argument("--alpha", type=float, required=True)
     sim.add_argument("--lambda", dest="lam", type=float, required=True)
     sim.add_argument("--mu", type=float, required=True)
@@ -64,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     sweep = sub.add_parser("sweep", help="simulate one file per (lambda, mu, alpha) combination")
-    sweep.add_argument("--model", choices=[k.value for k in ModelKind], required=True)
+    sweep.add_argument("--model", choices=_MODEL_CHOICES, required=True)
     sweep.add_argument("--alphas", type=_float_list, required=True)
     sweep.add_argument("--lambdas", type=_float_list, required=True)
     sweep.add_argument("--mus", type=_float_list, required=True)
@@ -107,6 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _path_plan(args, triples):
     """Check ``--paths``; build one model per (lam, mu, alpha), the grid and the base stream."""
+    from .sde_sim import GridSpec, ModelKind, ModelSpec
+    from .streams import RngStream
+
     if args.paths < 1:
         raise ValueError(f"paths={args.paths} must be a positive integer")
     kind, jumps = ModelKind(args.model), not getattr(args, "no_jumps", False)
@@ -119,6 +114,10 @@ def _path_plan(args, triples):
 
 def _write_paths(args, model, grid, base, first_stream_id, csv_path, svg_path):
     """Simulate ``args.paths`` paths on ``base`` substreams from ``first_stream_id``; write them."""
+    from .sde_sim import simulate
+    from .svgplot import render_paths_svg
+    from .trajio import atomic_write_text, write_trajectories_csv
+
     trajectories = [
         simulate(model, grid, base.substream(first_stream_id + p)) for p in range(args.paths)
     ]
@@ -134,6 +133,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .trajio import mangle_value
+
     combos = list(itertools.product(args.lambdas, args.mus, args.alphas))
     stems = [
         f"{args.model}_l{mangle_value(lam)}_m{mangle_value(mu)}_a{mangle_value(alpha)}"
@@ -153,6 +154,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit_link(args) -> int:
+    from .link_fit import fit_link
+    from .trajio import atomic_write_text, format_real, read_link_rows_csv
+
     link = fit_link(read_link_rows_csv(args.input))
     report = {
         "beta": [format_real(b) for b in link.coefficients],
@@ -169,6 +173,10 @@ def cmd_fit_link(args) -> int:
 
 
 def cmd_rng(args) -> int:
+    from .stable_rng import StableParams, sample_n
+    from .streams import RngStream
+    from .trajio import atomic_write_text
+
     params = StableParams(alpha=args.alpha, beta=args.beta, gamma=args.gamma, delta=args.delta)
     draws = sample_n(params, RngStream(args.seed), args.n)
     text = ("%.17g\n" * draws.size) % tuple(draws.tolist())
@@ -180,6 +188,10 @@ def cmd_rng(args) -> int:
 
 
 def cmd_selfsim(args) -> int:
+    from .noise_stats import self_similarity_check
+    from .streams import RngStream
+    from .trajio import format_real
+
     report = self_similarity_check(
         alpha=args.alpha,
         c=args.c,
@@ -203,7 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

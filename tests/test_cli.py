@@ -1,4 +1,5 @@
 """End-to-end CLI tests driven through subprocesses."""
+import argparse
 import contextlib
 import csv
 import io
@@ -302,7 +303,8 @@ def test_rng_text_matches_per_value_join(draws):
     # In process, with the draws replaced, so any float reaches the formatter.
     draws = np.array(draws)
     out = io.StringIO()
-    with mock.patch.object(cli, "sample_n", return_value=draws), contextlib.redirect_stdout(out):
+    with mock.patch("levylink.stable_rng.sample_n", return_value=draws), \
+            contextlib.redirect_stdout(out):
         assert cli.main(["rng", "--alpha", "1.5", "--n", str(draws.size), "--seed", "1"]) == 0
     assert out.getvalue() == "\n".join(format_real(v) for v in draws) + "\n"
 
@@ -420,6 +422,105 @@ def test_unknown_subcommand_is_an_error(tmp_path):
     res = run_cli(["frobnicate"], tmp_path)
     assert res.returncode == 1
     assert res.stderr.startswith("error:")
+
+
+# Each size asks numpy for more than 2**47 bytes at once, beyond any user
+# address space, so the allocation fails before any memory is touched.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rng", "--alpha", "1.5", "--n", "1000000000000000", "--seed", "1"],
+        ["simulate", "--model", "ou", "--alpha", "1.5", "--lambda", "1", "--mu", "1",
+         "--t-end", "1", "--steps", "1000000000000000", "--seed", "1", "--out", "a.csv"],
+        ["selfsim", "--alpha", "1.5", "--c", "2", "--paths", "1000000000000", "--steps",
+         "100000", "--seed", "1"],
+    ],
+    ids=["rng", "simulate", "selfsim"],
+)
+def test_failed_allocation_is_an_error_line(tmp_path, argv):
+    res = run_cli(argv, tmp_path)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert res.stdout == ""
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+# --------------------------------------------------------------- lazy imports
+
+def run_python(args, cwd):
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["-m", "levylink", "--help"], 0),
+        (["-m", "levylink", "simulate"], 1),
+        (["-m", "levylink", "frobnicate"], 1),
+        (["-c", "import levylink"], 0),
+    ],
+    ids=["help", "usage_error", "unknown_subcommand", "import_package"],
+)
+def test_no_work_paths_do_not_import_numpy(tmp_path, args, code):
+    res = run_python(["-X", "importtime", *args], tmp_path)
+    assert res.returncode == code, res.stderr
+    # importtime lines end with "| <indent><module name>".
+    loaded = [line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
+              if line.startswith("import time:")]
+    assert "levylink" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "numpy"]
+
+
+PACKAGE_CHECKS = {
+    "names_are_the_defining_modules_objects": """
+import sys, levylink
+for name in levylink.__all__:
+    if name != "__version__":
+        obj = getattr(levylink, name)
+        assert obj.__module__.startswith("levylink."), (name, obj.__module__)
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+assert set(levylink.__all__) <= set(dir(levylink))
+""",
+    "star_import_binds_all": """
+import levylink
+ns = {}
+exec("from levylink import *", ns)
+del ns["__builtins__"]
+assert sorted(ns) == sorted(levylink.__all__), sorted(ns)
+""",
+    "submodule_after_plain_import": """
+import levylink
+assert levylink.sde_sim.simulate is levylink.simulate
+assert levylink.sde_sim.ModelKind("ou") is levylink.ModelKind.OU
+""",
+    "unknown_attribute": """
+import levylink
+try:
+    levylink.no_such_name
+except AttributeError as exc:
+    assert "'levylink'" in str(exc) and "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("no AttributeError")
+""",
+}
+
+
+@pytest.mark.parametrize("check", list(PACKAGE_CHECKS))
+def test_package_names_resolve_lazily(tmp_path, check):
+    res = run_python(["-c", PACKAGE_CHECKS[check]], tmp_path)
+    assert res.returncode == 0, res.stderr
+
+
+def test_model_choices_are_the_model_kinds():
+    from levylink.sde_sim import ModelKind
+
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name in ("simulate", "sweep"):
+        (model,) = [a for a in commands.choices[name]._actions if a.dest == "model"]
+        assert list(model.choices) == [k.value for k in ModelKind]
 
 
 # ----------------------------------------------------------- contract property
