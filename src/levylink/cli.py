@@ -100,10 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _path_plan(args, triples):
     """Check ``--paths``; build one model per (lam, mu, alpha), the grid and the base stream."""
     from .sde_sim import GridSpec, ModelKind, ModelSpec
+    from .stable_rng import positive_count
     from .streams import RngStream
 
-    if args.paths < 1:
-        raise ValueError(f"paths={args.paths} must be a positive integer")
+    positive_count(args.paths, "paths")
     kind, jumps = ModelKind(args.model), not getattr(args, "no_jumps", False)
     models = [
         ModelSpec(kind=kind, lam=lam, mu=mu, alpha=alpha, x0=args.x0, with_jumps=jumps)
@@ -116,18 +116,20 @@ def _write_paths(args, model, grid, base, first_stream_id, csv_path, svg_path):
     """Simulate ``args.paths`` paths on ``base`` substreams from ``first_stream_id``; write them."""
     from .sde_sim import simulate
     from .svgplot import render_paths_svg
-    from .trajio import atomic_write_text, write_trajectories_csv
+    from .trajio import atomic_write_text, trajectories_to_csv
 
     trajectories = [
         simulate(model, grid, base.substream(first_stream_id + p)) for p in range(args.paths)
     ]
-    write_trajectories_csv(csv_path, trajectories)
+    atomic_write_text(csv_path, trajectories_to_csv(trajectories))
     if svg_path:
         atomic_write_text(svg_path, render_paths_svg([(t.times, t.values) for t in trajectories]))
 
 
 def cmd_simulate(args) -> int:
     (model,), grid, base = _path_plan(args, [(args.lam, args.mu, args.alpha)])
+    if args.svg and os.path.realpath(args.svg) == os.path.realpath(args.out):
+        raise ValueError(f"--svg {args.svg!r} and --out {args.out!r} name the same file")
     _write_paths(args, model, grid, base, 0, args.out, args.svg)
     return 0
 
@@ -177,8 +179,9 @@ def cmd_rng(args) -> int:
     from .streams import RngStream
     from .trajio import atomic_write_text
 
+    stream = RngStream(args.seed)  # a bad seed is reported before bad parameters
     params = StableParams(alpha=args.alpha, beta=args.beta, gamma=args.gamma, delta=args.delta)
-    draws = sample_n(params, RngStream(args.seed), args.n)
+    draws = sample_n(params, stream, args.n)
     text = ("%.17g\n" * draws.size) % tuple(draws.tolist())
     if args.out:
         atomic_write_text(args.out, text)

@@ -13,13 +13,14 @@ path leaves the detection unchanged).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import multinterp
 from .sde_sim import GridSpec, ModelKind, ModelSpec, Trajectory, simulate
+from .stable_rng import StableParams, positive_real
 from .streams import RngStream
 
 __all__ = [
@@ -48,8 +49,7 @@ class SampleRow:
         for name in ("lam", "mu", "alpha", "t", "x"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name}={getattr(self, name)!r} must be finite")
-        if not 0.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha={self.alpha!r} must lie in (0, 2]")
+        StableParams(alpha=self.alpha)  # refuses an alpha outside (0, 2]
         if self.t < 0.0:
             raise ValueError(f"t={self.t!r} must be non-negative")
 
@@ -79,7 +79,7 @@ class CollectResult:
     """Rows collected from simulations plus the triples that showed no jump."""
 
     rows: list[SampleRow]
-    excluded: list[tuple[float, float, float]] = field(default_factory=list)
+    excluded: list[tuple[float, float, float]]
 
 
 def _median(sample: np.ndarray) -> float:
@@ -107,8 +107,7 @@ def detect_first_jump(traj: Trajectory, threshold_factor: float = 10.0):
     always qualifies).  If the median is zero the threshold degenerates and
     any strictly positive increment counts.
     """
-    if not (math.isfinite(threshold_factor) and threshold_factor > 0.0):
-        raise ValueError(f"threshold_factor={threshold_factor!r} must be a positive real")
+    positive_real(threshold_factor, "threshold_factor")
     values = np.asarray(traj.values, dtype=float)
     if values.size < 2:
         raise ValueError("trajectory needs at least two points")

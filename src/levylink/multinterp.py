@@ -152,8 +152,9 @@ def singular_tolerance(matrix) -> float:
 class Interpolant:
     """Fitted interpolant: monomial basis, node values, solved coefficients.
 
-    ``matrix`` is the sample matrix the fit solved against and ``det_m`` its
-    cached determinant, reused by the cardinal-function route.
+    Built by :func:`fit`, which refuses a singular sample matrix.  ``matrix``
+    is the sample matrix the fit solved against and ``det_m`` its cached
+    determinant, reused by the cardinal-function route.
     """
 
     exponents: list[tuple[int, ...]]
@@ -184,10 +185,11 @@ def fit(nodes, values, n: int, m: int) -> Interpolant:
     exponents = enumerate_exponents(n, m)
     matrix = build_matrix(nodes, exponents)
     det_m = determinant(matrix)
-    if abs(det_m) <= singular_tolerance(matrix):
+    tol = singular_tolerance(matrix)
+    if abs(det_m) <= tol:
         raise SingularSampleMatrix(
-            f"sample matrix determinant {det_m:g} below tolerance "
-            f"{singular_tolerance(matrix):g}; choose distinct, non-degenerate nodes"
+            f"sample matrix determinant {det_m:g} below tolerance {tol:g}; "
+            "choose distinct, non-degenerate nodes"
         )
     try:
         coeff = np.linalg.solve(matrix, values)
@@ -216,11 +218,6 @@ def cardinal(interp: Interpolant, i: int, x) -> float:
     node's monomial row duplicates that row, so the numerator determinant
     vanishes.
     """
-    tol = singular_tolerance(interp.matrix)
-    if abs(interp.det_m) <= tol:
-        raise SingularSampleMatrix(
-            f"cached determinant {interp.det_m:g} below tolerance {tol:g}"
-        )
     replaced = interp.matrix.copy()
     replaced[i] = monomial_row(x, interp.exponents)
     return determinant(replaced) / interp.det_m

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .stable_rng import StableParams, positive_count, sample_n, validate
+from .stable_rng import StableParams, positive_count, positive_real, sample_n
 from .streams import RngStream
 
 __all__ = [
@@ -48,7 +48,7 @@ class NoiseSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        validate(StableParams(alpha=self.alpha))
+        StableParams(alpha=self.alpha)  # refuses an alpha outside (0, 2]
         if not (math.isfinite(self.scale) and self.scale >= 0.0):
             raise ValueError(f"scale={self.scale!r} must be a finite non-negative real")
 
@@ -81,8 +81,7 @@ def increments(spec: NoiseSpec, dt: float, stream: RngStream, n: int) -> np.ndar
     refused with ``ValueError`` before anything is drawn; one whose
     dt**(1/alpha) underflows to zero gives NaN for each infinite draw.
     """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt={dt!r} must be a positive real")
+    positive_real(dt, "dt")
     n = positive_count(n, "n")
     if spec.scale == 0.0:
         return np.zeros(n)
@@ -182,17 +181,14 @@ def self_similarity_check(
     one distribution, so the test passes with probability
     1 - significance.
     """
-    validate(StableParams(alpha=alpha))
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError(f"c={c!r} must be a positive real")
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"t={t!r} must be a positive real")
+    spec = NoiseSpec(alpha=alpha, scale=1.0)  # checks alpha first
+    positive_real(c, "c")
+    positive_real(t, "t")
     n_paths = positive_count(n_paths, "n_paths")
     n_steps = positive_count(n_steps, "n_steps")
     if not math.isfinite(c * t):
         raise ValueError(f"c*t overflows float64 for c={c!r}, t={t!r}")
     stretch = _power(c, alpha, "c")
-    spec = NoiseSpec(alpha=alpha, scale=1.0)
 
     def endpoints(horizon: float) -> np.ndarray:
         dt = horizon / n_steps

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise_stats import NoiseSpec, increments
-from .stable_rng import StableParams, positive_count, validate
+from .stable_rng import StableParams, positive_count, positive_real
 from .streams import RngStream
 
 __all__ = [
@@ -63,11 +63,10 @@ class ModelSpec:
     with_jumps: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam={self.lam!r} must be a positive real")
+        positive_real(self.lam, "lam")
         if not (math.isfinite(self.mu) and self.mu >= 0.0):
             raise ValueError(f"mu={self.mu!r} must be a non-negative real")
-        validate(StableParams(alpha=self.alpha))
+        StableParams(alpha=self.alpha)  # refuses an alpha outside (0, 2]
         if not math.isfinite(self.x0):
             raise ValueError(f"x0={self.x0!r} must be finite")
 
@@ -80,8 +79,7 @@ class GridSpec:
     n_steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
-            raise ValueError(f"t_end={self.t_end!r} must be a positive real")
+        positive_real(self.t_end, "t_end")
         positive_count(self.n_steps, "n_steps")
 
     @property

@@ -30,6 +30,9 @@ or a rounded-negative cosine and give NaN.  ``sample_n`` re-evaluates just
 those lanes with :func:`log_space_kernel`, so every other draw keeps the
 bits of the product form.
 
+``StableParams`` checks its fields when built and raises ``ParameterError``
+(a ``ValueError``); ``sample_n`` trusts the parameters it is given.
+
 The kernels are module-level functions of the raw uniforms so tests can
 force specific internal draws.
 """
@@ -46,7 +49,6 @@ from .streams import RngStream
 __all__ = [
     "StableParams",
     "ParameterError",
-    "validate",
     "sample_n",
     "cauchy_kernel",
     "symmetric_kernel",
@@ -61,12 +63,22 @@ _HALF_PI = 0.5 * math.pi
 
 @dataclass(frozen=True)
 class StableParams:
-    """Stable-law parameters: stability index, skewness, scale, location."""
+    """Stable-law parameters (stability index, skewness, scale, location), checked."""
 
     alpha: float
     beta: float = 0.0
     gamma: float = 1.0
     delta: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.alpha) and 0.0 < self.alpha <= 2.0):
+            raise ParameterError("alpha", self.alpha, "the interval (0, 2]")
+        if not (math.isfinite(self.beta) and -1.0 <= self.beta <= 1.0):
+            raise ParameterError("beta", self.beta, "the interval [-1, 1]")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ParameterError("gamma", self.gamma, "the interval [0, inf)")
+        if not math.isfinite(self.delta):
+            raise ParameterError("delta", self.delta, "the finite reals")
 
 
 class ParameterError(ValueError):
@@ -74,8 +86,6 @@ class ParameterError(ValueError):
 
     def __init__(self, field: str, value, allowed: str):
         self.field = field
-        self.value = value
-        self.allowed = allowed
         super().__init__(f"{field}={value!r} must lie in {allowed}")
 
 
@@ -91,16 +101,10 @@ def positive_count(value, name: str) -> int:
     return count
 
 
-def validate(params: StableParams) -> None:
-    """Raise :class:`ParameterError` unless all parameter invariants hold."""
-    if not (math.isfinite(params.alpha) and 0.0 < params.alpha <= 2.0):
-        raise ParameterError("alpha", params.alpha, "the interval (0, 2]")
-    if not (math.isfinite(params.beta) and -1.0 <= params.beta <= 1.0):
-        raise ParameterError("beta", params.beta, "the interval [-1, 1]")
-    if not (math.isfinite(params.gamma) and params.gamma >= 0.0):
-        raise ParameterError("gamma", params.gamma, "the interval [0, inf)")
-    if not math.isfinite(params.delta):
-        raise ParameterError("delta", params.delta, "the finite reals")
+def positive_real(value, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and above 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name}={value!r} must be a positive real")
 
 
 def _angle(u):
@@ -195,7 +199,6 @@ def sample_n(params: StableParams, stream: RngStream, n: int) -> np.ndarray:
     draw is NaN for valid ``params`` (alpha near 0 or 1 included); tails
     may overflow to +-inf.  The result is a fresh array.
     """
-    validate(params)
     n = positive_count(n, "n")
     a, b = params.alpha, params.beta
     # Stable tails legitimately overflow float64; propagate IEEE infs.

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .link_fit import SampleRow
-from .sde_sim import Trajectory
+if TYPE_CHECKING:  # the rng and selfsim commands need neither module
+    from .link_fit import SampleRow
+    from .sde_sim import Trajectory
 
 __all__ = [
     "TRAJECTORY_HEADER",
@@ -21,7 +22,6 @@ __all__ = [
     "format_real",
     "atomic_write_text",
     "trajectories_to_csv",
-    "write_trajectories_csv",
     "read_trajectories_csv",
     "read_link_rows_csv",
     "mangle_value",
@@ -41,17 +41,21 @@ def atomic_write_text(path: str, text: str) -> None:
 
     The temporary file gets a fresh random name, so concurrent writers never
     share one, and is created with the mode ``open(path, "w")`` would give
-    (0o666 less the umask).  It is removed when anything fails.
+    (0o666 less the umask).  It is removed when anything fails, and an
+    ``OSError`` names ``path``, so its message never shows the random name.
     """
     tmp = f"{path}.{os.urandom(8).hex()}.tmp~"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def mangle_value(v: float) -> str:
@@ -91,10 +95,6 @@ def trajectories_to_csv(trajectories: Sequence[Trajectory]) -> str:
     return "".join(parts)
 
 
-def write_trajectories_csv(path: str, trajectories: Sequence[Trajectory]) -> None:
-    atomic_write_text(path, trajectories_to_csv(trajectories))
-
-
 def read_trajectories_csv(path: str) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Parse a trajectory CSV back into per-path (times, values) arrays."""
     per_path: dict[int, list[tuple[float, float]]] = {}
@@ -112,6 +112,8 @@ def read_trajectories_csv(path: str) -> dict[int, tuple[np.ndarray, np.ndarray]]
 
 def read_link_rows_csv(path: str) -> list[SampleRow]:
     """Parse a link-rows CSV with header lambda,mu,alpha,t,x."""
+    from .link_fit import SampleRow
+
     rows: list[SampleRow] = []
     records = _read_rows(path, LINK_HEADER)
     try:

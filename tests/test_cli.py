@@ -31,6 +31,22 @@ def run_cli(args, cwd):
     )
 
 
+def run_in_process(argv, cwd):
+    """``cli.main(argv)`` in ``cwd``: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    here = Path.cwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(here)
+    return code, out.getvalue(), err.getvalue()
+
+
 def read_csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -578,19 +594,129 @@ def test_cli_contract_holds_for_any_argv(tmp_path_factory, argv):
     (work / "rows.csv").write_text(LINK_CSV)
     (work / "four.csv").write_text(LINK_CSV.rsplit("\n", 2)[0] + "\n")
     (work / "bad.csv").write_text("lambda,mu,alpha,t,x\n1,2,abc\n")
-    out, err = io.StringIO(), io.StringIO()
-    cwd = Path.cwd()
-    os.chdir(work)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-    finally:
-        os.chdir(cwd)
-    stderr = err.getvalue()
+    code, _, stderr = run_in_process(argv, work)
     assert code in (0, 1, 2), (code, stderr)
     assert "Traceback" not in stderr
     if code == 1:
         assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+
+
+# ------------------------------------------------------------ validation sites
+
+SIM_FLAGS = ["--model", "ou", "--mu", "1", "--t-end", "1", "--steps", "8", "--seed", "1",
+             "--out", "o.csv"]
+SELFSIM_FLAGS = ["--seed", "1", "--paths", "5", "--steps", "2"]
+RNG_FLAGS = ["--n", "1", "--seed", "1"]
+
+# One refused input per validation site, with the exact line it prints.
+ERROR_LINES = {
+    "stable_alpha": (["rng", "--alpha", "3", *RNG_FLAGS],
+                     "alpha=3.0 must lie in the interval (0, 2]"),
+    "stable_alpha_nan": (["rng", "--alpha", "nan", *RNG_FLAGS],
+                         "alpha=nan must lie in the interval (0, 2]"),
+    "stable_beta": (["rng", "--alpha", "1.5", "--beta", "2", *RNG_FLAGS],
+                    "beta=2.0 must lie in the interval [-1, 1]"),
+    "stable_gamma": (["rng", "--alpha", "1.5", "--gamma", "-1", *RNG_FLAGS],
+                     "gamma=-1.0 must lie in the interval [0, inf)"),
+    "stable_delta": (["rng", "--alpha", "1.5", "--delta", "inf", *RNG_FLAGS],
+                     "delta=inf must lie in the finite reals"),
+    "rng_count": (["rng", "--alpha", "1.5", "--n", "0", "--seed", "1"],
+                  "n=0 must be a positive integer"),
+    "rng_alpha_before_count": (["rng", "--alpha", "3", "--n", "0", "--seed", "1"],
+                               "alpha=3.0 must lie in the interval (0, 2]"),
+    "rng_seed_before_alpha": (["rng", "--alpha", "3", "--n", "1", "--seed", "-1"],
+                              "seed and stream_id must be non-negative"),
+    "model_alpha": (["simulate", "--alpha", "3", "--lambda", "1", *SIM_FLAGS],
+                    "alpha=3.0 must lie in the interval (0, 2]"),
+    "model_lam_before_alpha": (["simulate", "--alpha", "3", "--lambda", "-1", *SIM_FLAGS],
+                               "lam=-1.0 must be a positive real"),
+    "model_mu": (["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS, "--mu", "-1"],
+                 "mu=-1.0 must be a non-negative real"),
+    "model_x0": (["simulate", "--alpha", "1.5", "--lambda", "1", "--x0", "nan", *SIM_FLAGS],
+                 "x0=nan must be finite"),
+    "grid_t_end": (["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS, "--t-end", "0"],
+                   "t_end=0.0 must be a positive real"),
+    "grid_steps": (["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS, "--steps", "0"],
+                   "n_steps=0 must be a positive integer"),
+    "paths": (["simulate", "--alpha", "1.5", "--lambda", "1", "--paths", "0", *SIM_FLAGS],
+              "paths=0 must be a positive integer"),
+    "step_scale": (["simulate", "--alpha", "0.01", "--lambda", "1", *SIM_FLAGS,
+                    "--t-end", "1e300"],
+                   "dt**(1/alpha) overflows float64 for dt=1.25e+299, alpha=0.01"),
+    "sweep_alpha": (["sweep", "--model", "ou", "--alphas", "1.5,3", "--lambdas", "1",
+                     "--mus", "1", "--t-end", "1", "--steps", "8", "--seed", "1",
+                     "--outdir", "d"],
+                    "alpha=3.0 must lie in the interval (0, 2]"),
+    "noise_alpha_before_c": (["selfsim", "--alpha", "3", "--c", "-1", *SELFSIM_FLAGS],
+                             "alpha=3.0 must lie in the interval (0, 2]"),
+    "selfsim_c": (["selfsim", "--alpha", "1.5", "--c", "-1", *SELFSIM_FLAGS],
+                  "c=-1.0 must be a positive real"),
+    "selfsim_t": (["selfsim", "--alpha", "1.5", "--c", "2", "--t", "0", *SELFSIM_FLAGS],
+                  "t=0.0 must be a positive real"),
+    "selfsim_paths": (["selfsim", "--alpha", "1.5", "--c", "2", *SELFSIM_FLAGS, "--paths", "0"],
+                      "n_paths=0 must be a positive integer"),
+    "selfsim_horizon": (["selfsim", "--alpha", "1.5", "--c", "1e200", "--t", "1e200",
+                         *SELFSIM_FLAGS],
+                        "c*t overflows float64 for c=1e+200, t=1e+200"),
+    "selfsim_stretch": (["selfsim", "--alpha", "0.01", "--c", "1e10", *SELFSIM_FLAGS],
+                        "c**(1/alpha) overflows float64 for c=10000000000.0, alpha=0.01"),
+    "row_alpha": (["fit-link", "--input", "alpha.csv"],
+                  "alpha.csv: line 2: alpha=3.0 must lie in the interval (0, 2]"),
+    "row_finite": (["fit-link", "--input", "nan.csv"],
+                   "nan.csv: line 2: alpha=nan must be finite"),
+    "row_t": (["fit-link", "--input", "t.csv"], "t.csv: line 2: t=-0.2 must be non-negative"),
+    "row_count": (["fit-link", "--input", "four.csv"], "link fit needs exactly 5 rows, got 4"),
+}
+
+
+@pytest.mark.parametrize("case", list(ERROR_LINES))
+def test_each_validation_site_prints_its_error_line(tmp_path, case):
+    argv, line = ERROR_LINES[case]
+    first, rest = LINK_CSV.split("\n", 2)[1:]
+    (tmp_path / "alpha.csv").write_text(LINK_CSV.replace(first, "1,0.25,3,0.06055,0.4198"))
+    (tmp_path / "nan.csv").write_text(LINK_CSV.replace(first, "1,0.25,nan,0.06055,0.4198"))
+    (tmp_path / "t.csv").write_text(LINK_CSV.replace(first, "1,0.25,1,-0.2,0.4198"))
+    (tmp_path / "four.csv").write_text(LINK_CSV.rsplit("\n", 2)[0] + "\n")
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run_in_process(argv, tmp_path)
+    assert (code, out, err) == (1, "", f"error: {line}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("target", ["nodir/x.txt", "adir"], ids=["missing_dir", "directory"])
+def test_failed_write_names_the_users_path_on_every_run(tmp_path, target):
+    (tmp_path / "adir").mkdir()
+    argv = ["rng", "--alpha", "1.5", "--n", "2", "--seed", "1", "--out", target]
+    first, second = run_cli(argv, tmp_path), run_cli(argv, tmp_path)
+    assert first.returncode == second.returncode == 1
+    assert first.stderr == second.stderr
+    assert first.stderr.startswith("error:") and first.stderr.count("\n") == 1, first.stderr
+    assert f"'{target}'" in first.stderr and ".tmp~" not in first.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
+@pytest.mark.parametrize("svg", ["same.out", "./same.out", "link.out"])
+def test_simulate_refuses_an_svg_that_is_the_csv(tmp_path, svg):
+    (tmp_path / "link.out").symlink_to("same.out")
+    argv = ["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS[:-1], "same.out",
+            "--svg", svg]
+    code, out, err = run_in_process(argv, tmp_path)
+    assert (code, out) == (1, "")
+    assert err == f"error: --svg {svg!r} and --out 'same.out' name the same file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.out"]
+
+
+def test_rng_and_selfsim_load_only_the_modules_they_call(tmp_path):
+    script = """
+import sys
+from levylink.cli import main
+main(["rng", "--alpha", "1.5", "--n", "2", "--seed", "1", "--out", "x.txt"])
+main(["selfsim", "--alpha", "1.5", "--c", "2", "--paths", "5", "--steps", "2", "--seed", "1"])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("levylink."))))
+"""
+    res = run_python(["-c", script], tmp_path)
+    assert res.returncode == 0, res.stderr
+    loaded = res.stdout.splitlines()[-1].split()
+    assert "levylink.trajio" in loaded and "levylink.noise_stats" in loaded
+    assert not {"levylink.link_fit", "levylink.multinterp", "levylink.sde_sim"} & set(loaded)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import levy_stable
 
 from levylink.noise_stats import empirical_ks_one_sample, empirical_ks_two_sample
@@ -15,7 +17,6 @@ from levylink.stable_rng import (
     skewed_kernel,
     symmetric_kernel,
     unit_index_kernel,
-    validate,
 )
 from levylink.streams import RngStream
 
@@ -37,30 +38,66 @@ def chi2_1dof_cdf(y):
 
 def test_validate_rejects_alpha_above_two():
     with pytest.raises(ParameterError) as err:
-        validate(StableParams(alpha=2.5))
+        StableParams(alpha=2.5)
     assert err.value.field == "alpha"
     assert "(0, 2]" in str(err.value)
 
 
 def test_validate_rejects_beta_outside_band():
     with pytest.raises(ParameterError) as err:
-        validate(StableParams(alpha=1.0, beta=-1.5))
+        StableParams(alpha=1.0, beta=-1.5)
     assert err.value.field == "beta"
 
 
 def test_validate_rejects_negative_gamma_and_nonfinite_delta():
     with pytest.raises(ParameterError) as err:
-        validate(StableParams(alpha=1.0, gamma=-0.1))
+        StableParams(alpha=1.0, gamma=-0.1)
     assert err.value.field == "gamma"
     with pytest.raises(ParameterError) as err:
-        validate(StableParams(alpha=1.0, delta=math.inf))
+        StableParams(alpha=1.0, delta=math.inf)
     assert err.value.field == "delta"
 
 
 def test_validate_accepts_boundary_values():
-    validate(StableParams(alpha=2.0, beta=0.0, gamma=1.0, delta=0.0))
-    validate(StableParams(alpha=0.0000001, beta=1.0, gamma=0.0, delta=-3.0))
-    validate(StableParams(alpha=1.0, beta=-1.0))
+    StableParams(alpha=2.0, beta=0.0, gamma=1.0, delta=0.0)
+    StableParams(alpha=0.0000001, beta=1.0, gamma=0.0, delta=-3.0)
+    StableParams(alpha=1.0, beta=-1.0)
+
+
+def reference_check(alpha, beta, gamma, delta):
+    """The four parameter checks as a separate ``validate`` function once wrote them.
+
+    Returns the (field, message) of the first failing check, or None.
+    """
+    if not (math.isfinite(alpha) and 0.0 < alpha <= 2.0):
+        return "alpha", f"alpha={alpha!r} must lie in the interval (0, 2]"
+    if not (math.isfinite(beta) and -1.0 <= beta <= 1.0):
+        return "beta", f"beta={beta!r} must lie in the interval [-1, 1]"
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        return "gamma", f"gamma={gamma!r} must lie in the interval [0, inf)"
+    if not math.isfinite(delta):
+        return "delta", f"delta={delta!r} must lie in the finite reals"
+    return None
+
+
+# NaN, +-inf, +-0, subnormals, the interval ends and their nextafter neighbours.
+_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]
+_ENDS = [0.0, 1.0, -1.0, 2.0]
+EDGE_REALS = st.sampled_from(
+    _EDGES + _ENDS + [math.nextafter(v, d) for v in _ENDS for d in (-math.inf, math.inf)]
+) | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(alpha=EDGE_REALS, beta=EDGE_REALS, gamma=EDGE_REALS, delta=EDGE_REALS)
+def test_stable_params_refuses_exactly_what_the_reference_refuses(alpha, beta, gamma, delta):
+    expected = reference_check(alpha, beta, gamma, delta)
+    if expected is None:
+        StableParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
+        return
+    with pytest.raises(ParameterError) as err:
+        StableParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
+    assert (err.value.field, str(err.value)) == expected
 
 
 def test_sample_n_rejects_nonpositive_count():

@@ -33,7 +33,6 @@ from levylink.trajio import (
     read_link_rows_csv,
     read_trajectories_csv,
     trajectories_to_csv,
-    write_trajectories_csv,
 )
 
 
@@ -126,7 +125,7 @@ def test_mangle_value_examples():
 def test_trajectory_csv_round_trip(tmp_path):
     trajectories = simulate_paths(3)
     path = str(tmp_path / "t.csv")
-    write_trajectories_csv(path, trajectories)
+    atomic_write_text(path, trajectories_to_csv(trajectories))
     back = read_trajectories_csv(path)
     assert sorted(back) == [0, 1, 2]
     for pid, traj in enumerate(trajectories):
@@ -213,7 +212,7 @@ def test_readers_name_the_line_of_a_field_that_does_not_parse(tmp_path, reader, 
 
 def test_write_is_atomic_no_temp_left_behind(tmp_path):
     path = str(tmp_path / "out.csv")
-    write_trajectories_csv(path, simulate_paths(1))
+    atomic_write_text(path, trajectories_to_csv(simulate_paths(1)))
     assert os.listdir(tmp_path) == ["out.csv"]
 
 
