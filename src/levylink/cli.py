@@ -97,6 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_same_file(flag, path, other_flag, other):
+    """``ValueError`` when ``path`` is given and resolves to the same file as ``other``."""
+    if path and os.path.realpath(path) == os.path.realpath(other):
+        raise ValueError(f"{flag} {path!r} and {other_flag} {other!r} name the same file")
+
+
 def _path_plan(args, triples):
     """Check ``--paths``; build one model per (lam, mu, alpha), the grid and the base stream."""
     from .sde_sim import GridSpec, ModelKind, ModelSpec
@@ -128,8 +134,7 @@ def _write_paths(args, model, grid, base, first_stream_id, csv_path, svg_path):
 
 def cmd_simulate(args) -> int:
     (model,), grid, base = _path_plan(args, [(args.lam, args.mu, args.alpha)])
-    if args.svg and os.path.realpath(args.svg) == os.path.realpath(args.out):
-        raise ValueError(f"--svg {args.svg!r} and --out {args.out!r} name the same file")
+    _refuse_same_file("--svg", args.svg, "--out", args.out)
     _write_paths(args, model, grid, base, 0, args.out, args.svg)
     return 0
 
@@ -159,6 +164,7 @@ def cmd_fit_link(args) -> int:
     from .link_fit import fit_link
     from .trajio import atomic_write_text, format_real, read_link_rows_csv
 
+    _refuse_same_file("--out", args.out, "--input", args.input)
     link = fit_link(read_link_rows_csv(args.input))
     report = {
         "beta": [format_real(b) for b in link.coefficients],

@@ -131,16 +131,8 @@ def fit_link(rows: Sequence[SampleRow]) -> LinkEquation:
     if len(rows) != 5:
         raise ValueError(f"link fit needs exactly 5 rows, got {len(rows)}")
     nodes = [(r.lam, r.mu, r.alpha, r.t) for r in rows]
-    responses = [r.x for r in rows]
-    interp = multinterp.fit(nodes, responses, n=1, m=4)
-
-    index = {e: i for i, e in enumerate(interp.exponents)}
-    coeff = interp.coefficients
-    b1 = float(coeff[index[(1, 0, 0, 0)]])
-    b2 = float(coeff[index[(0, 1, 0, 0)]])
-    b3 = float(coeff[index[(0, 0, 1, 0)]])
-    b4 = float(coeff[index[(0, 0, 0, 1)]])
-    b5 = float(coeff[index[(0, 0, 0, 0)]])
+    interp = multinterp.fit(nodes, [r.x for r in rows], n=1, m=4)
+    b5, b1, b2, b3, b4 = interp.coefficients.tolist()  # graded: 1, lambda, mu, alpha, t
 
     t_bar = float(np.mean([r.t for r in rows]))
     x_bar = float(np.mean([r.x for r in rows]))

@@ -21,9 +21,10 @@ monomials evaluate correctly at the origin.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +32,7 @@ __all__ = [
     "SingularSampleMatrix",
     "DimensionMismatch",
     "enumerate_exponents",
-    "monomial_row",
-    "build_matrix",
     "determinant",
-    "singular_tolerance",
     "Interpolant",
     "fit",
     "cardinal",
@@ -49,16 +47,6 @@ class SingularSampleMatrix(ValueError):
 
 class DimensionMismatch(ValueError):
     """Node, exponent or value counts are inconsistent."""
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # Descending-lex compositions of `total` into `parts` non-negative entries.
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 def enumerate_exponents(n: int, m: int) -> list[tuple[int, ...]]:
@@ -76,10 +64,15 @@ def enumerate_exponents(n: int, m: int) -> list[tuple[int, ...]]:
 
 @functools.lru_cache(maxsize=64)
 def _exponents(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(e for grade in range(n + 1) for e in _compositions(grade, m))
+    # Ascending multisets of variable indices; their counts run in descending lex order.
+    return tuple(
+        tuple(map(c.count, range(m)))
+        for grade in range(n + 1)
+        for c in itertools.combinations_with_replacement(range(m), grade)
+    )
 
 
-def monomial_row(x: Sequence[float], exponents: Sequence[tuple[int, ...]]) -> np.ndarray:
+def _monomial_row(x: Sequence[float], exponents: Sequence[tuple[int, ...]]) -> np.ndarray:
     """Row vector of all monomials of point ``x`` under the fixed ordering."""
     x = np.asarray(x, dtype=float)
     exps = np.asarray(exponents, dtype=int)
@@ -90,18 +83,9 @@ def monomial_row(x: Sequence[float], exponents: Sequence[tuple[int, ...]]) -> np
     return np.prod(x[None, :] ** exps, axis=1)
 
 
-def build_matrix(nodes, exponents) -> np.ndarray:
-    """Sample matrix with entry (i, j) = node_i ** exponent_j, multiplied out."""
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+def _build_matrix(nodes: np.ndarray, exponents) -> np.ndarray:
+    """Sample matrix, entry (i, j) = node_i ** exponent_j; :func:`fit` checks the shapes."""
     exps = np.asarray(exponents, dtype=int)
-    if nodes.shape[0] != exps.shape[0]:
-        raise DimensionMismatch(
-            f"{nodes.shape[0]} nodes but {exps.shape[0]} exponent vectors; counts must match"
-        )
-    if nodes.shape[1] != exps.shape[1]:
-        raise DimensionMismatch(
-            f"nodes have {nodes.shape[1]} coordinates but exponents have {exps.shape[1]} entries"
-        )
     return np.prod(nodes[:, None, :] ** exps[None, :, :], axis=2)
 
 
@@ -137,7 +121,7 @@ def determinant(matrix) -> float:
     return det
 
 
-def singular_tolerance(matrix) -> float:
+def _singular_tolerance(matrix) -> float:
     """Scale-aware zero threshold for determinants of ``matrix``.
 
     The determinant of a matrix whose rows are scaled to unit max-norm is
@@ -183,9 +167,9 @@ def fit(nodes, values, n: int, m: int) -> Interpolant:
         raise DimensionMismatch(f"expected {rho} values, got {values.size}")
 
     exponents = enumerate_exponents(n, m)
-    matrix = build_matrix(nodes, exponents)
+    matrix = _build_matrix(nodes, exponents)
     det_m = determinant(matrix)
-    tol = singular_tolerance(matrix)
+    tol = _singular_tolerance(matrix)
     if abs(det_m) <= tol:
         raise SingularSampleMatrix(
             f"sample matrix determinant {det_m:g} below tolerance {tol:g}; "
@@ -219,13 +203,13 @@ def cardinal(interp: Interpolant, i: int, x) -> float:
     vanishes.
     """
     replaced = interp.matrix.copy()
-    replaced[i] = monomial_row(x, interp.exponents)
+    replaced[i] = _monomial_row(x, interp.exponents)
     return determinant(replaced) / interp.det_m
 
 
 def evaluate(interp: Interpolant, x) -> float:
     """Evaluate the interpolant at ``x`` from the solved coefficients."""
-    return float(monomial_row(x, interp.exponents) @ interp.coefficients)
+    return float(_monomial_row(x, interp.exponents) @ interp.coefficients)
 
 
 def evaluate_cardinal(interp: Interpolant, x) -> float:

@@ -3,13 +3,13 @@
 The driving noise of the simulators is synthesized from its scaling law: an
 increment over a step of length dt is distributed as dt**(1/alpha) times a
 standard symmetric stable variate, scaled by the noise amplitude.  The same
-module carries the empirical-CDF / Kolmogorov-Smirnov tooling used to check
-distributional claims, including the self-similarity check.
+module carries the Kolmogorov-Smirnov tooling used to check distributional
+claims, including the self-similarity check.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "KsReport",
     "EmptySample",
     "increments",
-    "empirical_cdf",
     "empirical_ks_two_sample",
     "empirical_ks_one_sample",
     "self_similarity_check",
@@ -41,14 +40,15 @@ class NoiseSpec:
     """Driving-noise description: stability index and amplitude.
 
     The amplitude multiplies every increment; the jump skewness is fixed at
-    zero throughout (symmetric noise).
+    zero throughout (symmetric noise).  ``params`` is the checked law drawn from.
     """
 
     alpha: float
     scale: float = 1.0
+    params: StableParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        StableParams(alpha=self.alpha)  # refuses an alpha outside (0, 2]
+        object.__setattr__(self, "params", StableParams(alpha=self.alpha))  # checks alpha
         if not (math.isfinite(self.scale) and self.scale >= 0.0):
             raise ValueError(f"scale={self.scale!r} must be a finite non-negative real")
 
@@ -86,7 +86,7 @@ def increments(spec: NoiseSpec, dt: float, stream: RngStream, n: int) -> np.ndar
     if spec.scale == 0.0:
         return np.zeros(n)
     factor = spec.scale * _power(dt, spec.alpha, "dt")
-    draws = sample_n(StableParams(alpha=spec.alpha), stream, n)
+    draws = sample_n(spec.params, stream, n)
     # In place, the bits of factor * draws.  Heavy tails overflow legitimately,
     # and a factor that underflows to 0 makes an infinite draw NaN (0 * inf).
     with np.errstate(over="ignore", invalid="ignore"):
@@ -117,12 +117,6 @@ def _sample(xs: Sequence[float], what: str) -> np.ndarray:
     return xs
 
 
-def empirical_cdf(xs: Sequence[float], points: Sequence[float]) -> np.ndarray:
-    """Right-continuous empirical CDF of ``xs`` evaluated at ``points``."""
-    xs = np.sort(_sample(xs, "empirical CDF"))
-    return np.searchsorted(xs, np.asarray(points, dtype=float), side="right") / xs.size
-
-
 def empirical_ks_two_sample(
     xs: Sequence[float], ys: Sequence[float], significance: float = 0.01
 ) -> KsReport:
@@ -136,8 +130,8 @@ def empirical_ks_two_sample(
     sorted samples concatenated: the pooled points in an order
     ``searchsorted`` walks quickly.  Each CDF value is the same count over
     the same size, and the maximum runs over the same points, so the
-    statistic has the bits of evaluating :func:`empirical_cdf` at the
-    unsorted pooled sample.
+    statistic has the bits of evaluating both right-continuous empirical
+    CDFs at the unsorted pooled sample.
     """
     coeff = _ks_coefficient(significance)
     xs = np.sort(_sample(xs, "two-sample KS"))

@@ -102,7 +102,6 @@ class Trajectory:
 
     times: np.ndarray
     values: np.ndarray
-    model: ModelSpec
     stream_key: tuple[int, int]
     overflowed: bool
     factor_breach_step: int | None
@@ -143,7 +142,6 @@ def simulate(model: ModelSpec, grid: GridSpec, stream: RngStream) -> Trajectory:
     return Trajectory(
         times=grid.times(),
         values=values,
-        model=model,
         stream_key=stream.key,
         overflowed=not bool(np.isfinite(values).all()),
         factor_breach_step=breach,

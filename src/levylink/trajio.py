@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,12 +63,12 @@ def mangle_value(v: float) -> str:
     return f"{v:g}".replace(".", "p")
 
 
-def _read_rows(path: str, header: tuple[str, ...]) -> Iterator[list[str]]:
-    """Data rows of the CSV at ``path`` under ``header``, blank rows skipped.
+def _read_rows(path: str, header: tuple[str, ...], parse: Callable) -> Iterator:
+    """``parse(fields)`` of each data row of the CSV at ``path`` under ``header``.
 
-    Raises ValueError for a different header.  A row with another number of
-    fields than the header, or a ValueError the caller throws in with
-    ``records.throw(exc)`` while holding a row, raises ValueError naming its line.
+    Blank rows are skipped.  Raises ValueError for a different header.  A
+    row with another number of fields than the header, or one whose
+    ``parse`` raises ValueError, raises ValueError naming its line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -81,9 +81,10 @@ def _read_rows(path: str, header: tuple[str, ...]) -> Iterator[list[str]]:
             try:
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                yield row
+                parsed = parse(row)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            yield parsed
 
 
 def trajectories_to_csv(trajectories: Sequence[Trajectory]) -> str:
@@ -98,12 +99,9 @@ def trajectories_to_csv(trajectories: Sequence[Trajectory]) -> str:
 def read_trajectories_csv(path: str) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Parse a trajectory CSV back into per-path (times, values) arrays."""
     per_path: dict[int, list[tuple[float, float]]] = {}
-    records = _read_rows(path, TRAJECTORY_HEADER)
-    try:
-        for pid, t, x in records:
-            per_path.setdefault(int(pid), []).append((float(t), float(x)))
-    except ValueError as exc:
-        records.throw(exc)
+    points = _read_rows(path, TRAJECTORY_HEADER, lambda r: (int(r[0]), float(r[1]), float(r[2])))
+    for pid, t, x in points:
+        per_path.setdefault(pid, []).append((t, x))
     return {
         pid: (np.array([t for t, _ in rows]), np.array([x for _, x in rows]))
         for pid, rows in per_path.items()
@@ -111,15 +109,7 @@ def read_trajectories_csv(path: str) -> dict[int, tuple[np.ndarray, np.ndarray]]
 
 
 def read_link_rows_csv(path: str) -> list[SampleRow]:
-    """Parse a link-rows CSV with header lambda,mu,alpha,t,x."""
+    """Parse a link-rows CSV with header lambda,mu,alpha,t,x, SampleRow's field order."""
     from .link_fit import SampleRow
 
-    rows: list[SampleRow] = []
-    records = _read_rows(path, LINK_HEADER)
-    try:
-        for row in records:
-            lam, mu, alpha, t, x = (float(v) for v in row)
-            rows.append(SampleRow(lam=lam, mu=mu, alpha=alpha, t=t, x=x))
-    except ValueError as exc:
-        records.throw(exc)
-    return rows
+    return list(_read_rows(path, LINK_HEADER, lambda row: SampleRow(*map(float, row))))

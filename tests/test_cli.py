@@ -286,6 +286,17 @@ def test_fit_link_names_the_line_of_a_bad_field(tmp_path):
     assert res.stderr == "error: rows.csv: line 5: could not convert string to float: 'abc'\n"
 
 
+@pytest.mark.parametrize("out", ["rows.csv", "./rows.csv", "link.csv"])
+def test_fit_link_refuses_an_out_that_is_the_input(tmp_path, out):
+    (tmp_path / "rows.csv").write_text(LINK_CSV)
+    (tmp_path / "link.csv").symlink_to("rows.csv")
+    code, stdout, err = run_in_process(["fit-link", "--input", "rows.csv", "--out", out], tmp_path)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: --out {out!r} and --input 'rows.csv' name the same file\n"
+    assert (tmp_path / "rows.csv").read_text() == LINK_CSV
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "rows.csv"]
+
+
 # ------------------------------------------------------------------------ rng
 
 def test_rng_deterministic_output(tmp_path):

@@ -38,14 +38,12 @@ GLM_ROWS = [
 
 
 def make_traj(values, dt=0.25):
-    # The detector reads only times and values; the model is a placeholder,
-    # so a path may start at a non-finite value.
+    # The detector reads only times and values, so a path may start at a
+    # non-finite value.
     values = np.asarray(values, dtype=float)
-    model = ModelSpec(kind=ModelKind.OU, lam=1.0, mu=1.0, alpha=1.5, x0=1.0)
     return Trajectory(
         times=dt * np.arange(values.size),
         values=values,
-        model=model,
         stream_key=(0, 0),
         overflowed=not bool(np.isfinite(values).all()),
         factor_breach_step=None,

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from levylink.multinterp import (
     DimensionMismatch,
     SingularSampleMatrix,
-    build_matrix,
     cardinal,
     determinant,
     enumerate_exponents,
     evaluate,
     evaluate_cardinal,
     fit,
-    monomial_row,
 )
 
 
@@ -56,6 +54,24 @@ def test_enumeration_count_identity(n, m):
     assert all(sum(e) <= n and min(e) >= 0 for e in got)
 
 
+def compositions(total, parts):
+    # The recursive enumeration enumerate_exponents replaced, kept as the
+    # reference order: descending-lex compositions of total into parts entries.
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for tail in compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def test_enumeration_matches_the_recursive_reference():
+    for n in range(9):
+        for m in range(1, 9):
+            want = [e for grade in range(n + 1) for e in compositions(grade, m)]
+            assert enumerate_exponents(n, m) == want, (n, m)
+
+
 def test_enumerate_returns_a_fresh_list():
     first = enumerate_exponents(1, 2)
     first.append((9, 9))
@@ -73,21 +89,16 @@ def test_enumerate_rejects_bad_arguments():
 # --------------------------------------------------------------------- matrix
 
 def test_vandermonde_rows():
-    got = build_matrix([[1.0], [2.0], [3.0]], [(0,), (1,), (2,)])
+    got = fit([[1.0], [2.0], [3.0]], [0.0, 0.0, 0.0], 2, 1).matrix
     assert np.array_equal(got, [[1, 1, 1], [1, 2, 4], [1, 3, 9]])
 
 
 def test_zero_to_the_zero_is_one():
-    assert np.array_equal(build_matrix([[0.0]], [(0,)]), [[1.0]])
-    row = monomial_row([0.0, 0.0], enumerate_exponents(1, 2))
-    assert np.array_equal(row, [1.0, 0.0, 0.0])
-
-
-def test_build_matrix_count_mismatch():
-    with pytest.raises(DimensionMismatch):
-        build_matrix([[2.0]], [(0,), (1,)])
-    with pytest.raises(DimensionMismatch):
-        build_matrix([[1.0, 2.0]], [(0,)])
+    assert np.array_equal(fit([[0.0]], [5.0], 0, 1).matrix, [[1.0]])
+    # At the origin the monomial row is (1, 0, 0): only the constant term counts.
+    interp = fit([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [7.0, 9.0, 10.0], 1, 2)
+    assert np.array_equal(interp.matrix[0], [1.0, 0.0, 0.0])
+    assert evaluate(interp, [0.0, 0.0]) == interp.coefficients[0] == 7.0
 
 
 # ---------------------------------------------------------------- determinant
@@ -102,7 +113,7 @@ def test_determinant_repeated_row_is_zero():
 
 
 def test_determinant_vandermonde_product():
-    m = build_matrix([[1.0], [2.0], [3.0]], [(0,), (1,), (2,)])
+    m = fit([[1.0], [2.0], [3.0]], [0.0, 0.0, 0.0], 2, 1).matrix
     assert determinant(m) == pytest.approx((2 - 1) * (3 - 1) * (3 - 2), rel=1e-14)
 
 
@@ -227,6 +238,9 @@ def test_fit_rejects_wrong_node_count():
         fit([[0.0], [1.0]], [0.0, 1.0], 2, 1)
     with pytest.raises(DimensionMismatch):
         fit([[0.0], [1.0], [2.0]], [0.0, 1.0], 2, 1)
+    # Three nodes, as degree 2 in one variable needs, but of dimension 2.
+    with pytest.raises(DimensionMismatch):
+        fit([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]], [0.0, 1.0, 2.0], 2, 1)
 
 
 def test_fit_rejects_repeated_nodes():
