@@ -105,14 +105,14 @@ def _refuse_same_file(flag, path, other_flag, other):
 
 def _path_plan(args, triples):
     """Check ``--paths``; build one model per (lam, mu, alpha), the grid and the base stream."""
-    from .sde_sim import GridSpec, ModelKind, ModelSpec
+    from .sde_sim import GridSpec, ModelSpec
     from .stable_rng import positive_count
     from .streams import RngStream
 
     positive_count(args.paths, "paths")
-    kind, jumps = ModelKind(args.model), not getattr(args, "no_jumps", False)
+    jumps = not getattr(args, "no_jumps", False)
     models = [
-        ModelSpec(kind=kind, lam=lam, mu=mu, alpha=alpha, x0=args.x0, with_jumps=jumps)
+        ModelSpec(kind=args.model, lam=lam, mu=mu, alpha=alpha, x0=args.x0, with_jumps=jumps)
         for lam, mu, alpha in triples
     ]
     return models, GridSpec(t_end=args.t_end, n_steps=args.steps), RngStream(args.seed)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import multinterp
 from .sde_sim import GridSpec, ModelKind, ModelSpec, Trajectory, simulate
-from .stable_rng import StableParams, positive_real
+from .stable_rng import StableParams, finite_real, positive_real
 from .streams import RngStream
 
 __all__ = [
@@ -47,8 +47,7 @@ class SampleRow:
 
     def __post_init__(self):
         for name in ("lam", "mu", "alpha", "t", "x"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name}={getattr(self, name)!r} must be finite")
+            finite_real(getattr(self, name), name)
         StableParams(alpha=self.alpha)  # refuses an alpha outside (0, 2]
         if self.t < 0.0:
             raise ValueError(f"t={self.t!r} must be non-negative")
@@ -142,7 +141,7 @@ def fit_link(rows: Sequence[SampleRow]) -> LinkEquation:
 
 def collect_rows(
     param_grid: Iterable[tuple[float, float, float]],
-    model_kind: ModelKind,
+    model_kind: ModelKind | str,
     grid: GridSpec,
     threshold_factor: float,
     stream: RngStream,

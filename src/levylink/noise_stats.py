@@ -9,16 +9,15 @@ claims, including the self-similarity check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .stable_rng import StableParams, positive_count, positive_real, sample_n
+from .stable_rng import StableParams, non_negative_real, positive_count, positive_real, sample_n
 from .streams import RngStream
 
 __all__ = [
-    "NoiseSpec",
     "KsReport",
     "EmptySample",
     "increments",
@@ -33,24 +32,6 @@ _KS_COEFF = {0.05: 1.358, 0.01: 1.628}
 
 class EmptySample(ValueError):
     """A statistical routine received an empty sample."""
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Driving-noise description: stability index and amplitude.
-
-    The amplitude multiplies every increment; the jump skewness is fixed at
-    zero throughout (symmetric noise).  ``params`` is the checked law drawn from.
-    """
-
-    alpha: float
-    scale: float = 1.0
-    params: StableParams = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", StableParams(alpha=self.alpha))  # checks alpha
-        if not (math.isfinite(self.scale) and self.scale >= 0.0):
-            raise ValueError(f"scale={self.scale!r} must be a finite non-negative real")
 
 
 @dataclass(frozen=True)
@@ -72,21 +53,24 @@ def _ks_coefficient(significance: float) -> float:
         ) from None
 
 
-def increments(spec: NoiseSpec, dt: float, stream: RngStream, n: int) -> np.ndarray:
+def increments(
+    law: StableParams, scale: float, dt: float, stream: RngStream, n: int
+) -> np.ndarray:
     """``n`` independent noise increments over steps of length ``dt``.
 
-    Each increment is scale * dt**(1/alpha) * S with S standard symmetric
-    stable.  Zero amplitude short-circuits to exact zeros and consumes no
-    draws from the stream.  A dt whose dt**(1/alpha) overflows float64 is
-    refused with ``ValueError`` before anything is drawn; one whose
-    dt**(1/alpha) underflows to zero gives NaN for each infinite draw.
+    Each increment is scale * dt**(1/alpha) * S with S drawn from ``law``
+    (checked when built; ``scale``, ``dt`` and ``n`` are checked here).  Zero
+    scale gives exact zeros and consumes no draws.  A dt whose dt**(1/alpha)
+    overflows float64 is refused with ``ValueError`` before anything is
+    drawn; one whose dt**(1/alpha) underflows to 0 gives NaN at infinite draws.
     """
+    non_negative_real(scale, "scale")
     positive_real(dt, "dt")
     n = positive_count(n, "n")
-    if spec.scale == 0.0:
+    if scale == 0.0:
         return np.zeros(n)
-    factor = spec.scale * _power(dt, spec.alpha, "dt")
-    draws = sample_n(spec.params, stream, n)
+    factor = scale * _power(dt, law.alpha, "dt")
+    draws = sample_n(law, stream, n)
     # In place, the bits of factor * draws.  Heavy tails overflow legitimately,
     # and a factor that underflows to 0 makes an infinite draw NaN (0 * inf).
     with np.errstate(over="ignore", invalid="ignore"):
@@ -173,9 +157,9 @@ def self_similarity_check(
     as a sum of ``n_steps`` increments, and ``n_paths`` endpoints at time t
     rescaled by c**(1/alpha).  Under the scaling law the two samples share
     one distribution, so the test passes with probability
-    1 - significance.
+    1 - significance.  Every argument is checked before anything is drawn.
     """
-    spec = NoiseSpec(alpha=alpha, scale=1.0)  # checks alpha first
+    law = StableParams(alpha=alpha)  # checks alpha first
     positive_real(c, "c")
     positive_real(t, "t")
     n_paths = positive_count(n_paths, "n_paths")
@@ -183,10 +167,10 @@ def self_similarity_check(
     if not math.isfinite(c * t):
         raise ValueError(f"c*t overflows float64 for c={c!r}, t={t!r}")
     stretch = _power(c, alpha, "c")
+    _ks_coefficient(significance)
 
     def endpoints(horizon: float) -> np.ndarray:
-        dt = horizon / n_steps
-        steps = increments(spec, dt, stream, n_paths * n_steps)
+        steps = increments(law, 1.0, horizon / n_steps, stream, n_paths * n_steps)
         return steps.reshape(n_paths, n_steps).sum(axis=1)
 
     # Heavy tails may overflow the sums and the rescale; inf - inf is NaN,

@@ -13,22 +13,22 @@ left over its shocks; the GLM path is the running product of x0 and its
 per-step factors.  Both keep the float operations of a scalar step loop in
 its order, so a path is bit-identical to stepping it one value at a time.
 
-Noise is drawn up front per path: OU consumes n jump increments; GLM
-consumes n Brownian normals first, then n unit-scale jump increments (none
-when jumps are suppressed).  Heavy tails make float overflow a legitimate
-outcome: non-finite values are propagated unclamped and flagged on the
-trajectory.
+Each ``ModelSpec`` builds the law of S once, for all its paths.  Noise is
+drawn up front per path: OU consumes n jump increments; GLM consumes n
+Brownian normals first, then n unit-scale jump increments (none when jumps
+are suppressed).  Heavy tails make float overflow a legitimate outcome:
+non-finite values are propagated unclamped and flagged on the trajectory.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise_stats import NoiseSpec, increments
-from .stable_rng import StableParams, positive_count, positive_real
+from .noise_stats import increments
+from .stable_rng import StableParams, finite_real, non_negative_real, positive_count, positive_real
 from .streams import RngStream
 
 __all__ = [
@@ -47,12 +47,12 @@ class ModelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which SDE to run and its coefficients.
+    """Which SDE to run and its coefficients, checked once when built.
 
-    ``lam`` is the OU mean-reversion rate or the GLM drift, ``mu`` the one
-    volatility knob, ``alpha`` the stability index of the driving noise and
-    ``x0`` the initial value.  ``with_jumps=False`` suppresses the GLM jump
-    stream (amplitude zero, nothing drawn) for Brownian-only runs.
+    ``kind`` is a ``ModelKind`` or its value.  ``lam`` is the OU mean-reversion
+    rate or the GLM drift, ``mu`` the one volatility knob, ``alpha`` the
+    noise's stability index (``noise`` holds its law) and ``x0`` the initial
+    value.  ``with_jumps=False`` drops the GLM jumps; OU refuses it.
     """
 
     kind: ModelKind
@@ -61,14 +61,16 @@ class ModelSpec:
     alpha: float
     x0: float
     with_jumps: bool = True
+    noise: StableParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", ModelKind(self.kind))
+        if self.kind is ModelKind.OU and not self.with_jumps:
+            raise ValueError("with_jumps=False needs kind=glm: the OU model has only jump noise")
         positive_real(self.lam, "lam")
-        if not (math.isfinite(self.mu) and self.mu >= 0.0):
-            raise ValueError(f"mu={self.mu!r} must be a non-negative real")
-        StableParams(alpha=self.alpha)  # refuses an alpha outside (0, 2]
-        if not math.isfinite(self.x0):
-            raise ValueError(f"x0={self.x0!r} must be finite")
+        non_negative_real(self.mu, "mu")
+        object.__setattr__(self, "noise", StableParams(alpha=self.alpha))  # checks alpha
+        finite_real(self.x0, "x0")
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,6 @@ class Trajectory:
 
     times: np.ndarray
     values: np.ndarray
-    stream_key: tuple[int, int]
     overflowed: bool
     factor_breach_step: int | None
 
@@ -112,7 +113,7 @@ def simulate(model: ModelSpec, grid: GridSpec, stream: RngStream) -> Trajectory:
 
     Reproducible: identical (model, grid, stream key) give a bit-identical
     trajectory within one build.  Paths are independent across distinct
-    stream ids.
+    stream ids.  No parameter is checked here: ``model`` and ``grid`` were.
     """
     n = grid.n_steps
     dt = grid.dt
@@ -121,7 +122,7 @@ def simulate(model: ModelSpec, grid: GridSpec, stream: RngStream) -> Trajectory:
     breach = None
 
     if model.kind is ModelKind.OU:
-        shocks = increments(NoiseSpec(model.alpha, model.mu), dt, stream, n).tolist()
+        shocks = increments(model.noise, model.mu, dt, stream, n).tolist()
         keep, x = 1.0 - lam_dt, x0
         steps = [x0]
         steps += [x := keep * x + s for s in shocks]
@@ -132,7 +133,7 @@ def simulate(model: ModelSpec, grid: GridSpec, stream: RngStream) -> Trajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             jumps = 0.0
             if model.with_jumps:
-                jumps = model.mu * increments(NoiseSpec(model.alpha, 1.0), dt, stream, n)
+                jumps = model.mu * increments(model.noise, 1.0, dt, stream, n)
             factors = (1.0 + lam_dt) + brownian + jumps
             values = np.multiply.accumulate(np.concatenate(([x0], factors)))
             breaches = np.flatnonzero(factors <= -1.0)
@@ -142,7 +143,6 @@ def simulate(model: ModelSpec, grid: GridSpec, stream: RngStream) -> Trajectory:
     return Trajectory(
         times=grid.times(),
         values=values,
-        stream_key=stream.key,
         overflowed=not bool(np.isfinite(values).all()),
         factor_breach_step=breach,
     )

@@ -107,6 +107,18 @@ def positive_real(value, name: str) -> None:
         raise ValueError(f"{name}={value!r} must be a positive real")
 
 
+def non_negative_real(value, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and at least 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name}={value!r} must be a non-negative real")
+
+
+def finite_real(value, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name}={value!r} must be finite")
+
+
 def _angle(u):
     """CMS angle V = pi/2 * (2u - 1), uniform on (-pi/2, pi/2)."""
     return _HALF_PI * (2.0 * u - 1.0)

@@ -33,10 +33,6 @@ class RngStream:
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.seed, self.stream_id)
-
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
             self._gen = np.random.Generator(

@@ -645,6 +645,8 @@ ERROR_LINES = {
                  "mu=-1.0 must be a non-negative real"),
     "model_x0": (["simulate", "--alpha", "1.5", "--lambda", "1", "--x0", "nan", *SIM_FLAGS],
                  "x0=nan must be finite"),
+    "ou_no_jumps": (["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS, "--no-jumps"],
+                    "with_jumps=False needs kind=glm: the OU model has only jump noise"),
     "grid_t_end": (["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS, "--t-end", "0"],
                    "t_end=0.0 must be a positive real"),
     "grid_steps": (["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS, "--steps", "0"],

@@ -44,7 +44,6 @@ def make_traj(values, dt=0.25):
     return Trajectory(
         times=dt * np.arange(values.size),
         values=values,
-        stream_key=(0, 0),
         overflowed=not bool(np.isfinite(values).all()),
         factor_breach_step=None,
     )
@@ -290,6 +289,14 @@ def test_collect_rows_is_deterministic_and_keyed_by_triple_index():
     assert len(a.rows) + len(a.excluded) == 3
     for row in a.rows:
         assert 0.0 < row.t <= 1.0
+
+
+def test_collect_rows_takes_the_model_kind_by_value():
+    grid = GridSpec(t_end=1.0, n_steps=200)
+    triples = [(1.0, 0.5, 1.5), (2.0, 0.3, 1.2)]
+    by_value = collect_rows(triples, "ou", grid, 10.0, RngStream(78))
+    assert by_value == collect_rows(triples, ModelKind.OU, grid, 10.0, RngStream(78))
+    assert by_value != collect_rows(triples, ModelKind.GLM, grid, 10.0, RngStream(78))
 
 
 def test_collect_rows_agrees_with_manual_simulation():

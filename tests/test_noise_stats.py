@@ -9,7 +9,6 @@ from scipy import stats
 
 from levylink.noise_stats import (
     EmptySample,
-    NoiseSpec,
     empirical_ks_one_sample,
     empirical_ks_two_sample,
     increments,
@@ -21,18 +20,18 @@ from levylink.streams import RngStream
 
 # ----------------------------------------------------------------- increments
 
-def test_noise_spec_validation():
+def test_noise_law_and_scale_validation():
     with pytest.raises(ValueError):
-        NoiseSpec(alpha=2.5)
-    with pytest.raises(ValueError):
-        NoiseSpec(alpha=1.0, scale=-1.0)
-    with pytest.raises(ValueError):
-        NoiseSpec(alpha=1.0, scale=math.nan)
+        StableParams(alpha=2.5)
+    with pytest.raises(ValueError, match=r"^scale=-1\.0 must be a non-negative real$"):
+        increments(StableParams(alpha=1.0), -1.0, 0.1, RngStream(1), 3)
+    with pytest.raises(ValueError, match=r"^scale=nan must be a non-negative real$"):
+        increments(StableParams(alpha=1.0), math.nan, 0.1, RngStream(1), 3)
 
 
 def test_zero_scale_gives_zeros_without_consuming_draws():
     stream = RngStream(30)
-    out = increments(NoiseSpec(alpha=1.5, scale=0.0), 0.1, stream, 50)
+    out = increments(StableParams(1.5), 0.0, 0.1, stream, 50)
     assert np.array_equal(out, np.zeros(50))
     # The stream must be untouched: its next draw equals a fresh stream's first.
     assert stream.uniforms(1)[0] == RngStream(30).uniforms(1)[0]
@@ -40,7 +39,7 @@ def test_zero_scale_gives_zeros_without_consuming_draws():
 
 def test_gaussian_increment_is_scaled_normal():
     # alpha = 2, dt = 0.25: increment = 0.5 * sqrt(2) * N for the next normal N.
-    got = increments(NoiseSpec(alpha=2.0, scale=1.0), 0.25, RngStream(31), 6)
+    got = increments(StableParams(2.0), 1.0, 0.25, RngStream(31), 6)
     normals = RngStream(31).normals(6)
     assert np.allclose(got, 0.5 * math.sqrt(2.0) * normals, rtol=0, atol=0)
 
@@ -48,30 +47,30 @@ def test_gaussian_increment_is_scaled_normal():
 def test_unit_time_increment_equals_direct_sample():
     # dt = 1 makes the scaling factor exactly scale * 1, so the increment
     # stream coincides draw for draw with direct stable sampling.
-    got = increments(NoiseSpec(alpha=1.5, scale=0.7), 1.0, RngStream(32), 100)
+    got = increments(StableParams(1.5), 0.7, 1.0, RngStream(32), 100)
     want = 0.7 * sample_n(StableParams(alpha=1.5), RngStream(32), 100)
     assert np.array_equal(got, want)
 
 
 def test_unit_time_increment_distribution_oracle():
-    xs = increments(NoiseSpec(alpha=1.5, scale=1.0), 1.0, RngStream(33), 10_000)
+    xs = increments(StableParams(1.5), 1.0, 1.0, RngStream(33), 10_000)
     ys = sample_n(StableParams(alpha=1.5), RngStream(34), 10_000)
     assert empirical_ks_two_sample(xs, ys, significance=0.01).passed
 
 
 def test_increment_rejects_bad_dt():
     with pytest.raises(ValueError):
-        increments(NoiseSpec(alpha=1.0), 0.0, RngStream(1), 3)
+        increments(StableParams(1.0), 1.0, 0.0, RngStream(1), 3)
     with pytest.raises(ValueError):
-        increments(NoiseSpec(alpha=1.0), -1.0, RngStream(1), 3)
+        increments(StableParams(1.0), 1.0, -1.0, RngStream(1), 3)
 
 
 @pytest.mark.parametrize("alpha,a,seed", [(0.8, 2.0, 611), (1.5, 4.0, 612)])
 def test_scaling_composition(alpha, a, seed):
     # Stretching the step by a rescales the increment by a**(1/alpha).
     stream = RngStream(seed)
-    big = increments(NoiseSpec(alpha), a * 0.25, stream, 10_000)
-    small = a ** (1.0 / alpha) * increments(NoiseSpec(alpha), 0.25, stream, 10_000)
+    big = increments(StableParams(alpha), 1.0, a * 0.25, stream, 10_000)
+    small = a ** (1.0 / alpha) * increments(StableParams(alpha), 1.0, 0.25, stream, 10_000)
     assert empirical_ks_two_sample(big, small, significance=0.01).passed
 
 
@@ -79,9 +78,9 @@ def test_scaling_composition(alpha, a, seed):
 def test_sum_consistency(alpha, seed):
     # Sixteen small steps summed match one sixteen-fold step in distribution.
     stream = RngStream(seed)
-    parts = increments(NoiseSpec(alpha), 1.0 / 16, stream, 16 * 10_000)
+    parts = increments(StableParams(alpha), 1.0, 1.0 / 16, stream, 16 * 10_000)
     summed = parts.reshape(10_000, 16).sum(axis=1)
-    whole = increments(NoiseSpec(alpha), 1.0, stream, 10_000)
+    whole = increments(StableParams(alpha), 1.0, 1.0, stream, 10_000)
     assert empirical_ks_two_sample(summed, whole, significance=0.01).passed
 
 
@@ -90,7 +89,7 @@ def test_sum_consistency(alpha, seed):
 )
 def test_increments_have_the_bits_of_factor_times_sample_n(alpha, scale, dt):
     # The factor multiplies the fresh draws in place: the same IEEE product.
-    got = increments(NoiseSpec(alpha, scale), dt, RngStream(51), 400)
+    got = increments(StableParams(alpha), scale, dt, RngStream(51), 400)
     want = (scale * dt ** (1.0 / alpha)) * sample_n(StableParams(alpha=alpha), RngStream(51), 400)
     assert got.tobytes() == want.tobytes()
 
@@ -98,8 +97,8 @@ def test_increments_have_the_bits_of_factor_times_sample_n(alpha, scale, dt):
 @pytest.mark.parametrize("scale", [0.0, 1.5])
 def test_increments_return_a_fresh_buffer(scale):
     stream = RngStream(52)
-    a = increments(NoiseSpec(1.2, scale), 0.1, stream, 32)
-    b = increments(NoiseSpec(1.2, scale), 0.1, stream, 32)
+    a = increments(StableParams(1.2), scale, 0.1, stream, 32)
+    b = increments(StableParams(1.2), scale, 0.1, stream, 32)
     assert not np.shares_memory(a, b)
 
 
@@ -107,13 +106,13 @@ def test_increments_refuse_an_overflowing_step_scale_before_drawing():
     # dt**(1/alpha) = (2.5e299)**2 does not fit a float64.
     stream = RngStream(53)
     with pytest.raises(ValueError, match=r"dt=2\.5e\+299.*alpha=0\.5"):
-        increments(NoiseSpec(alpha=0.5), 2.5e299, stream, 4)
+        increments(StableParams(0.5), 1.0, 2.5e299, stream, 4)
     assert stream.uniforms(1)[0] == RngStream(53).uniforms(1)[0]
 
 
 def test_increments_overflow_silently():
     # dt**(1/alpha) = 2**1000: large finite draws overflow to +-inf.
-    got = increments(NoiseSpec(alpha=0.001), 2.0, RngStream(59), 1000)
+    got = increments(StableParams(0.001), 1.0, 2.0, RngStream(59), 1000)
     draws = sample_n(StableParams(alpha=0.001), RngStream(59), 1000)
     assert np.isinf(got[np.isfinite(draws)]).any()
     assert not np.isnan(got).any()
@@ -121,7 +120,7 @@ def test_increments_overflow_silently():
 
 def test_increments_with_an_underflowed_factor_are_nan_only_at_infinite_draws():
     # dt**(1/alpha) = 0.5**10000 underflows to 0: IEEE 0 * inf, without a warning.
-    got = increments(NoiseSpec(alpha=1e-4), 0.5, RngStream(60), 1000)
+    got = increments(StableParams(1e-4), 1.0, 0.5, RngStream(60), 1000)
     draws = sample_n(StableParams(alpha=1e-4), RngStream(60), 1000)
     assert np.isinf(draws).any()
     assert np.array_equal(np.isnan(got), np.isinf(draws))
@@ -132,7 +131,7 @@ def test_increments_with_an_underflowed_factor_are_nan_only_at_infinite_draws():
 @pytest.mark.parametrize("scale", [0.0, 1.0])
 def test_increments_refuse_a_non_integer_count(n, scale):
     with pytest.raises(TypeError, match="n="):
-        increments(NoiseSpec(1.5, scale), 0.1, RngStream(1), n)
+        increments(StableParams(1.5), scale, 0.1, RngStream(1), n)
 
 
 # -------------------------------------------------------------- empirical CDF
@@ -307,6 +306,13 @@ def test_self_similarity_refuses_an_overflowing_stretch_before_drawing():
     stream = RngStream(56)
     with pytest.raises(ValueError, match=r"c=10000\.0.*alpha=0\.01"):
         self_similarity_check(0.01, 1e4, 1e-6, 10, 1, stream)
+    assert stream.uniforms(1)[0] == RngStream(56).uniforms(1)[0]
+
+
+def test_self_similarity_refuses_a_bad_significance_before_drawing():
+    stream = RngStream(56)
+    with pytest.raises(ValueError, match="significance=0.02"):
+        self_similarity_check(1.5, 2.0, 1.0, 10, 4, stream, significance=0.02)
     assert stream.uniforms(1)[0] == RngStream(56).uniforms(1)[0]
 
 

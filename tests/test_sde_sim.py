@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levylink.noise_stats import NoiseSpec, increments
+from levylink.noise_stats import increments
 from levylink.sde_sim import (
     GridSpec,
     ModelKind,
@@ -15,6 +15,7 @@ from levylink.sde_sim import (
     Trajectory,
     simulate,
 )
+from levylink.stable_rng import StableParams
 from levylink.streams import RngStream
 
 
@@ -41,7 +42,7 @@ def _euler_reference(model, grid, stream):
     breach = None
 
     if model.kind is ModelKind.OU:
-        shocks = increments(NoiseSpec(model.alpha, model.mu), dt, stream, n).tolist()
+        shocks = increments(StableParams(model.alpha), model.mu, dt, stream, n).tolist()
         keep = 1.0 - lam_dt
         for k in range(n):
             x = keep * x + shocks[k]
@@ -49,7 +50,7 @@ def _euler_reference(model, grid, stream):
     else:
         brownian = (model.mu * math.sqrt(dt)) * stream.normals(n)
         if model.with_jumps:
-            jumps = model.mu * increments(NoiseSpec(model.alpha, 1.0), dt, stream, n)
+            jumps = model.mu * increments(StableParams(model.alpha), 1.0, dt, stream, n)
         else:
             jumps = np.zeros(n)
         bw = brownian.tolist()
@@ -79,6 +80,42 @@ def test_model_spec_validation():
         ou_model(alpha=2.5)
     with pytest.raises(ValueError):
         ou_model(x0=math.inf)
+    with pytest.raises(ValueError, match="bogus"):
+        ModelSpec(kind="bogus", lam=1.0, mu=1.0, alpha=1.5, x0=1.0)
+    # The jumps are the OU model's only noise; there is nothing to suppress.
+    with pytest.raises(ValueError, match="with_jumps=False"):
+        ModelSpec(kind=ModelKind.OU, lam=1.0, mu=1.0, alpha=1.5, x0=1.0, with_jumps=False)
+
+
+def test_model_spec_takes_the_kind_by_value():
+    model = ModelSpec(kind="ou", lam=1.0, mu=1.0, alpha=1.5, x0=1.0)
+    assert model.kind is ModelKind.OU and model == ou_model()
+    assert model.noise == StableParams(alpha=1.5)
+    assert repr(model) == (
+        "ModelSpec(kind=<ModelKind.OU: 'ou'>, lam=1.0, mu=1.0, alpha=1.5, x0=1.0, with_jumps=True)"
+    )
+    grid = GridSpec(t_end=1.0, n_steps=32)
+    want = simulate(ou_model(), grid, RngStream(48))
+    assert simulate(model, grid, RngStream(48)).values.tobytes() == want.values.tobytes()
+
+
+def test_simulate_builds_no_stable_law_per_path(monkeypatch):
+    model = glm_model()
+    ou = ou_model()
+    built = []
+    checks = StableParams.__post_init__
+
+    def counting(self):
+        built.append(self.alpha)
+        checks(self)
+
+    monkeypatch.setattr(StableParams, "__post_init__", counting)
+    grid = GridSpec(t_end=1.0, n_steps=16)
+    for i in range(8):
+        simulate(model if i % 2 else ou, grid, RngStream(49, i))
+    assert built == []
+    ou_model()
+    assert built == [1.5]
 
 
 def test_grid_spec_validation_and_times():
@@ -106,7 +143,6 @@ def test_trajectory_shape_and_initial_value():
     assert traj.times.shape == (17,)
     assert traj.values[0] == 2.5
     assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
-    assert traj.stream_key == (50, 0)
     assert traj.factor_breach_step is None
 
 
@@ -153,7 +189,7 @@ def test_ou_pure_noise_limit_accumulates_increments():
     # Negligible reversion: X(t) - x0 must equal the running noise sum.
     grid = GridSpec(t_end=1.0, n_steps=256)
     traj = simulate(ou_model(lam=1e-12, mu=1.0, alpha=1.7), grid, RngStream(55))
-    shocks = increments(NoiseSpec(1.7, 1.0), grid.dt, RngStream(55), 256)
+    shocks = increments(StableParams(1.7), 1.0, grid.dt, RngStream(55), 256)
     accumulated = np.concatenate([[0.0], np.cumsum(shocks)])
     scale = np.max(np.abs(accumulated)) + 1.0
     assert np.max(np.abs((traj.values - 1.0) - accumulated)) / scale < 1e-9
@@ -162,7 +198,7 @@ def test_ou_pure_noise_limit_accumulates_increments():
 def test_ou_replays_its_recursion_from_a_twin_stream():
     grid = GridSpec(t_end=2.0, n_steps=128)
     traj = simulate(ou_model(lam=0.4, mu=0.9, alpha=1.2, x0=-1.0), grid, RngStream(56, 2))
-    shocks = increments(NoiseSpec(1.2, 0.9), grid.dt, RngStream(56, 2), 128)
+    shocks = increments(StableParams(1.2), 0.9, grid.dt, RngStream(56, 2), 128)
     x = -1.0
     keep = 1.0 - 0.4 * grid.dt
     for k in range(128):
@@ -175,7 +211,7 @@ def test_glm_replays_its_recursion_from_a_twin_stream():
     traj = simulate(glm_model(lam=0.3, mu=0.8, alpha=1.6, x0=2.0), grid, RngStream(57))
     twin = RngStream(57)
     brownian = (0.8 * math.sqrt(grid.dt)) * twin.normals(64)
-    jumps = 0.8 * increments(NoiseSpec(1.6, 1.0), grid.dt, twin, 64)
+    jumps = 0.8 * increments(StableParams(1.6), 1.0, grid.dt, twin, 64)
     x = 2.0
     for k in range(64):
         x = x * (1.0 + 0.3 * grid.dt + brownian[k] + jumps[k])
@@ -218,7 +254,7 @@ def test_tail_heaviness_decreases_with_alpha():
     # Extreme increments shrink as the stability index rises.
     q = []
     for alpha in (0.5, 1.0, 1.5, 1.9):
-        inc = increments(NoiseSpec(alpha, 1.0), 1.0, RngStream(631, int(alpha * 10)), 10_000)
+        inc = increments(StableParams(alpha), 1.0, 1.0, RngStream(631, int(alpha * 10)), 10_000)
         q.append(float(np.quantile(np.abs(inc), 0.999)))
     assert all(a >= b for a, b in zip(q, q[1:])), q
 
@@ -234,7 +270,7 @@ def test_glm_records_first_factor_breach():
     # Reconstruct the factor at the recorded step and confirm the breach.
     twin = RngStream(700, 1)
     brownian = (5.0 * math.sqrt(grid.dt)) * twin.normals(64)
-    jumps = 5.0 * increments(NoiseSpec(1.2, 1.0), grid.dt, twin, 64)
+    jumps = 5.0 * increments(StableParams(1.2), 1.0, grid.dt, twin, 64)
     factors = 1.0 + 1.0 * grid.dt + brownian + jumps
     assert factors[k] <= -1.0
     assert np.all(factors[:k] > -1.0)
@@ -266,6 +302,7 @@ def test_overflow_is_flagged_and_propagated():
 )
 def test_simulate_matches_scalar_euler_loop(kind, lam, mu, alpha, x0, with_jumps,
                                             t_end, n_steps, stream_id):
+    with_jumps = with_jumps or kind is ModelKind.OU  # OU has no Brownian-only run
     model = ModelSpec(kind=kind, lam=lam, mu=mu, alpha=alpha, x0=x0, with_jumps=with_jumps)
     grid = GridSpec(t_end=t_end, n_steps=n_steps)
     with np.errstate(all="ignore"):

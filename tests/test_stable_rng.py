@@ -377,7 +377,7 @@ def test_stream_refuses_negative_keys_at_construction(seed, stream_id):
 def test_stream_repr_and_key():
     stream = RngStream(7, 3)
     assert repr(stream) == "RngStream(seed=7, stream_id=3)"
-    assert stream.key == (7, 3)
+    assert (stream.seed, stream.stream_id) == (7, 3)
     assert repr(stream.substream(4)) == "RngStream(seed=7, stream_id=7)"
 
 
@@ -398,7 +398,8 @@ def test_substream_of_undrawn_base_keeps_the_seed_schedule():
 
 def test_stream_accepts_numpy_integer_keys():
     stream = RngStream(np.int64(3), np.uint8(2))
-    assert stream.key == (3, 2) and all(type(k) is int for k in stream.key)
+    key = (stream.seed, stream.stream_id)
+    assert key == (3, 2) and all(type(k) is int for k in key)
     assert np.array_equal(stream.uniforms(4), RngStream(3, 2).uniforms(4))
 
 
