@@ -103,39 +103,43 @@ def _refuse_same_file(flag, path, other_flag, other):
         raise ValueError(f"{flag} {path!r} and {other_flag} {other!r} name the same file")
 
 
-def _path_plan(args, triples):
-    """Check ``--paths``; build one model per (lam, mu, alpha), the grid and the base stream."""
-    from .sde_sim import GridSpec, ModelSpec
+def _write_combinations(args, combos, outputs, outdir):
+    """Simulate ``--paths`` paths per (lam, mu, alpha) of ``combos`` and write each one's files.
+
+    ``outputs`` pairs each combination with its CSV path and its SVG path or
+    None.  Every input is checked before ``outdir`` (None: make no directory)
+    is made or a file written.  Path p of combination i draws on substream
+    i * paths + p of ``--seed``, so ``simulate`` is combination 0 of a sweep.
+    """
+    from .sde_sim import GridSpec, ModelSpec, simulate
     from .stable_rng import positive_count
     from .streams import RngStream
+    from .svgplot import render_paths_svg
+    from .trajio import atomic_write_text, trajectories_to_csv
 
     positive_count(args.paths, "paths")
     jumps = not getattr(args, "no_jumps", False)
     models = [
         ModelSpec(kind=args.model, lam=lam, mu=mu, alpha=alpha, x0=args.x0, with_jumps=jumps)
-        for lam, mu, alpha in triples
+        for lam, mu, alpha in combos
     ]
-    return models, GridSpec(t_end=args.t_end, n_steps=args.steps), RngStream(args.seed)
-
-
-def _write_paths(args, model, grid, base, first_stream_id, csv_path, svg_path):
-    """Simulate ``args.paths`` paths on ``base`` substreams from ``first_stream_id``; write them."""
-    from .sde_sim import simulate
-    from .svgplot import render_paths_svg
-    from .trajio import atomic_write_text, trajectories_to_csv
-
-    trajectories = [
-        simulate(model, grid, base.substream(first_stream_id + p)) for p in range(args.paths)
-    ]
-    atomic_write_text(csv_path, trajectories_to_csv(trajectories))
-    if svg_path:
-        atomic_write_text(svg_path, render_paths_svg([(t.times, t.values) for t in trajectories]))
+    grid = GridSpec(t_end=args.t_end, n_steps=args.steps)
+    base = RngStream(args.seed)
+    for csv_path, svg_path in outputs:
+        _refuse_same_file("--svg", svg_path, "--out", csv_path)
+    if outdir is not None:
+        os.makedirs(outdir, exist_ok=True)
+    for i, (model, (csv_path, svg_path)) in enumerate(zip(models, outputs)):
+        streams = [base.substream(i * args.paths + p) for p in range(args.paths)]
+        trajectories = [simulate(model, grid, stream) for stream in streams]
+        atomic_write_text(csv_path, trajectories_to_csv(trajectories))
+        if svg_path:
+            curves = [(t.times, t.values) for t in trajectories]
+            atomic_write_text(svg_path, render_paths_svg(curves))
 
 
 def cmd_simulate(args) -> int:
-    (model,), grid, base = _path_plan(args, [(args.lam, args.mu, args.alpha)])
-    _refuse_same_file("--svg", args.svg, "--out", args.out)
-    _write_paths(args, model, grid, base, 0, args.out, args.svg)
+    _write_combinations(args, [(args.lam, args.mu, args.alpha)], [(args.out, args.svg)], None)
     return 0
 
 
@@ -150,13 +154,9 @@ def cmd_sweep(args) -> int:
     clashes = sorted(stem for stem, count in Counter(stems).items() if count > 1)
     if clashes:
         raise ValueError(f"sweep combinations share output file names: {', '.join(clashes)}")
-    # Every combination is checked before anything is written: all or nothing.
-    models, grid, base = _path_plan(args, combos)
-    os.makedirs(args.outdir, exist_ok=True)
-    for combo, (model, stem) in enumerate(zip(models, stems)):
-        path = os.path.join(args.outdir, stem)
-        svg_path = path + ".svg" if args.svg else None
-        _write_paths(args, model, grid, base, combo * args.paths, path + ".csv", svg_path)
+    paths = [os.path.join(args.outdir, stem) for stem in stems]
+    outputs = [(path + ".csv", path + ".svg" if args.svg else None) for path in paths]
+    _write_combinations(args, combos, outputs, args.outdir)
     return 0
 
 

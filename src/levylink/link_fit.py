@@ -149,17 +149,19 @@ def collect_rows(
 ) -> CollectResult:
     """One SampleRow per (lambda, mu, alpha) triple whose path shows a jump.
 
-    Triple i simulates on the substream ``stream_id + i``.  Triples with no
-    qualifying jump, and the rare paths whose first jump lands on a
-    non-finite value, go to the exclusion list instead.
+    Every triple and ``threshold_factor`` are checked before the first path
+    is simulated; triple i simulates on the substream ``stream_id + i``.
+    Triples with no qualifying jump, and the rare paths whose first jump
+    lands on a non-finite value, go to the exclusion list instead.
     """
     triples = list(param_grid)
     if not triples:
         raise ValueError("parameter grid must be nonempty")
+    models = [ModelSpec(model_kind, lam, mu, alpha, x0) for lam, mu, alpha in triples]
+    positive_real(threshold_factor, "threshold_factor")
     rows: list[SampleRow] = []
     excluded: list[tuple[float, float, float]] = []
-    for i, (lam, mu, alpha) in enumerate(triples):
-        model = ModelSpec(kind=model_kind, lam=lam, mu=mu, alpha=alpha, x0=x0)
+    for i, (model, (lam, mu, alpha)) in enumerate(zip(models, triples)):
         traj = simulate(model, grid, stream.substream(i))
         hit = detect_first_jump(traj, threshold_factor)
         if hit is None or not math.isfinite(hit[1]):

@@ -24,7 +24,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -72,21 +71,15 @@ def _exponents(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _monomial_row(x: Sequence[float], exponents: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Row vector of all monomials of point ``x`` under the fixed ordering."""
-    x = np.asarray(x, dtype=float)
+def _monomials(points, exponents) -> np.ndarray:
+    """Monomials of each point under the fixed ordering: entry (i, j) = points_i ** exponent_j."""
+    points = np.asarray(points, dtype=float)
     exps = np.asarray(exponents, dtype=int)
-    if x.ndim != 1 or exps.ndim != 2 or x.size != exps.shape[1]:
+    if points.ndim != 2 or exps.ndim != 2 or points.shape[1] != exps.shape[1]:
         raise DimensionMismatch(
-            f"point of dimension {x.size} incompatible with exponents of shape {exps.shape}"
+            f"points of shape {points.shape} incompatible with exponents of shape {exps.shape}"
         )
-    return np.prod(x[None, :] ** exps, axis=1)
-
-
-def _build_matrix(nodes: np.ndarray, exponents) -> np.ndarray:
-    """Sample matrix, entry (i, j) = node_i ** exponent_j; :func:`fit` checks the shapes."""
-    exps = np.asarray(exponents, dtype=int)
-    return np.prod(nodes[:, None, :] ** exps[None, :, :], axis=2)
+    return np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
 
 
 def determinant(matrix) -> float:
@@ -167,7 +160,7 @@ def fit(nodes, values, n: int, m: int) -> Interpolant:
         raise DimensionMismatch(f"expected {rho} values, got {values.size}")
 
     exponents = enumerate_exponents(n, m)
-    matrix = _build_matrix(nodes, exponents)
+    matrix = _monomials(nodes, exponents)
     det_m = determinant(matrix)
     tol = _singular_tolerance(matrix)
     if abs(det_m) <= tol:
@@ -203,13 +196,13 @@ def cardinal(interp: Interpolant, i: int, x) -> float:
     vanishes.
     """
     replaced = interp.matrix.copy()
-    replaced[i] = _monomial_row(x, interp.exponents)
+    replaced[i] = _monomials([x], interp.exponents)[0]
     return determinant(replaced) / interp.det_m
 
 
 def evaluate(interp: Interpolant, x) -> float:
     """Evaluate the interpolant at ``x`` from the solved coefficients."""
-    return float(_monomial_row(x, interp.exponents) @ interp.coefficients)
+    return float(_monomials([x], interp.exponents)[0] @ interp.coefficients)
 
 
 def evaluate_cardinal(interp: Interpolant, x) -> float:

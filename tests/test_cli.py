@@ -232,6 +232,22 @@ def test_sweep_paths_use_distinct_streams(tmp_path):
     assert path0 != path1
 
 
+@pytest.mark.parametrize("model, paths", [("ou", "2"), ("glm", "1")])
+def test_simulate_writes_the_bytes_of_a_one_combination_sweep(tmp_path, model, paths):
+    # Both commands draw path p of combination i on substream i * paths + p.
+    flags = ["--model", model, "--t-end", "1", "--steps", "16", "--paths", paths, "--seed", "5"]
+    simulate = ["simulate", *flags, "--alpha", "1.5", "--lambda", "2", "--mu", "0.5",
+                "--out", "s.csv", "--svg", "s.svg"]
+    sweep = ["sweep", *flags, "--alphas", "1.5", "--lambdas", "2", "--mus", "0.5",
+             "--outdir", "d", "--svg"]
+    assert run_in_process(simulate, tmp_path) == run_in_process(sweep, tmp_path) == (0, "", "")
+    rows = read_csv_rows(tmp_path / "s.csv")[1:]
+    assert sorted({pid for pid, _, _ in rows}) == [str(p) for p in range(int(paths))]
+    for ext in ("csv", "svg"):
+        swept = tmp_path / "d" / f"{model}_l2_m0p5_a1p5.{ext}"
+        assert (tmp_path / f"s.{ext}").read_bytes() == swept.read_bytes()
+
+
 # ------------------------------------------------------------------- fit-link
 
 LINK_CSV = """lambda,mu,alpha,t,x
@@ -718,6 +734,25 @@ def test_simulate_refuses_an_svg_that_is_the_csv(tmp_path, svg):
     assert (code, out) == (1, "")
     assert err == f"error: --svg {svg!r} and --out 'same.out' name the same file\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.out"]
+
+
+def test_simulate_reports_a_bad_parameter_before_an_svg_clash(tmp_path):
+    argv = ["simulate", "--alpha", "3", "--lambda", "1", *SIM_FLAGS[:-1], "same.out",
+            "--svg", "same.out"]
+    error = "error: alpha=3.0 must lie in the interval (0, 2]\n"
+    assert run_in_process(argv, tmp_path) == (1, "", error)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_refuses_an_svg_that_is_its_csv_before_writing(tmp_path):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "ou_l1_m1_a1p5.svg").symlink_to("ou_l1_m1_a1p5.csv")
+    argv = ["sweep", "--model", "ou", "--alphas", "1.2,1.5", "--lambdas", "1", "--mus", "1",
+            "--t-end", "1", "--steps", "8", "--seed", "1", "--outdir", "d", "--svg"]
+    code, out, err = run_in_process(argv, tmp_path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.endswith(" name the same file\n"), err
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["ou_l1_m1_a1p5.svg"]
 
 
 def test_rng_and_selfsim_load_only_the_modules_they_call(tmp_path):

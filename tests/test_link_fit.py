@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levylink import link_fit
 from levylink.link_fit import (
     LinkEquation,
     SampleRow,
@@ -317,3 +318,21 @@ def test_collect_rows_agrees_with_manual_simulation():
 def test_collect_rows_rejects_empty_grid():
     with pytest.raises(ValueError):
         collect_rows([], ModelKind.OU, GridSpec(t_end=1.0, n_steps=8), 10.0, RngStream(1))
+
+
+@pytest.mark.parametrize(
+    "triples, threshold, message",
+    [
+        ([(1.0, 0.5, 1.5)] * 3, -1.0, "threshold_factor=-1.0 must be a positive real"),
+        ([(1.0, 0.5, 1.5), (1.0, 0.5, 3.0)], 10.0, "alpha=3.0 must lie in the interval (0, 2]"),
+    ],
+    ids=["threshold", "second_alpha"],
+)
+def test_collect_rows_checks_every_input_before_simulating(monkeypatch, triples, threshold,
+                                                            message):
+    calls = []
+    monkeypatch.setattr(link_fit, "simulate", lambda *a: calls.append(a))
+    with pytest.raises(ValueError) as info:
+        collect_rows(triples, "ou", GridSpec(1.0, 1024), threshold, RngStream(1))
+    assert str(info.value) == message
+    assert calls == []

@@ -289,6 +289,16 @@ def test_cardinal_index_bounds():
         cardinal(interp, 2, [0.5])
 
 
+@pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]], 0.5],
+                         ids=["short", "long", "nested", "scalar"])
+@pytest.mark.parametrize("route", [evaluate, evaluate_cardinal, lambda f, x: cardinal(f, 0, x)],
+                         ids=["evaluate", "evaluate_cardinal", "cardinal"])
+def test_query_point_of_the_wrong_dimension_is_refused(route, point):
+    interp = fit([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 2.0, 3.0], 1, 2)
+    with pytest.raises(DimensionMismatch):
+        route(interp, point)
+
+
 # ----------------------------------------------------------- route equivalence
 
 def test_coefficient_and_cardinal_routes_agree():
