@@ -30,6 +30,10 @@ lambda,mu,alpha,t,x
 """
 
 RNG = ["rng", "--n", "40", "--seed", "5"]
+# Sizes that straddle the draw blocks: sample_n draws at most 2**14 variates
+# per block, and self_similarity_check at most 2**16 increments per block of
+# whole paths (one path when n_steps is longer).
+RNG_BLOCKS = ["rng", "--n", str(3 * 2**14 + 5), "--seed", "5"]
 
 # name -> (argv, sha256 over stdout and every file the command leaves)
 GOLDEN = {
@@ -83,6 +87,30 @@ GOLDEN = {
         ["selfsim", "--alpha", "1.5", "--c", "2", "--paths", "300", "--steps", "16",
          "--seed", "3"],
         "b22b1163d42225236688d61e24bb738e8286cc8407455e19f7695364ca7516e4",
+    ),
+    "rng-symmetric-blocks": (
+        RNG_BLOCKS + ["--alpha", "1.3"],
+        "36b7c6b076ce15f6e65c571377358d066c18dfa78b5a07109b73ae39c965034f",
+    ),
+    "rng-skewed-blocks": (
+        RNG_BLOCKS + ["--alpha", "0.7", "--beta", "-0.4"],
+        "b0496f0e83c7e8b189da5b9a54540a44c76006feca037f38a886110fbc9b2aa2",
+    ),
+    "rng-cauchy-blocks": (
+        RNG_BLOCKS + ["--alpha", "1"],
+        "fde324b3a72a088747bfe74d11709509ac6bbdc527bb41a7c31498ed5f112bf6",
+    ),
+    # 4,099 paths of 16 steps: 65,584 increments, 4,096 paths per block.
+    "selfsim-path-blocks": (
+        ["selfsim", "--alpha", "1.5", "--c", "2", "--paths", "4099", "--steps", "16",
+         "--seed", "3"],
+        "1b4fc097b11da3ed28fbc781539a6e0cad0cf31b50ee45a7963a4aa00cb9ba35",
+    ),
+    # 16,390 steps per path, more than one sample_n block; 3 paths per block.
+    "selfsim-long-steps": (
+        ["selfsim", "--alpha", "1.2", "--c", "3", "--paths", "25", "--steps", "16390",
+         "--seed", "4"],
+        "1ab7d4be94ca59c0219e174a6d29521446955dd1a4c22bbca883c486b550e100",
     ),
 }
 
