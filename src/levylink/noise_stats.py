@@ -14,7 +14,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .stable_rng import StableParams, non_negative_real, positive_count, positive_real, sample_n
+from .stable_rng import (
+    _BLOCK,
+    StableParams,
+    _in_blocks,
+    non_negative_real,
+    positive_count,
+    positive_real,
+    sample_n,
+)
 from .streams import RngStream
 
 __all__ = [
@@ -158,6 +166,12 @@ def self_similarity_check(
     rescaled by c**(1/alpha).  Under the scaling law the two samples share
     one distribution, so the test passes with probability
     1 - significance.  Every argument is checked before anything is drawn.
+
+    Increments are drawn and summed in blocks of whole paths, at most 2**16
+    increments each (one path when ``n_steps`` is longer), so memory is
+    bounded by the block and ``n_paths``, not by n_paths * n_steps.  A row
+    sum never crosses a path, so the bits and the draw schedule are those
+    of drawing all increments at once.
     """
     law = StableParams(alpha=alpha)  # checks alpha first
     positive_real(c, "c")
@@ -169,9 +183,14 @@ def self_similarity_check(
     stretch = _power(c, alpha, "c")
     _ks_coefficient(significance)
 
+    paths_per_block = max(1, 4 * _BLOCK // n_steps)
+
     def endpoints(horizon: float) -> np.ndarray:
-        steps = increments(law, 1.0, horizon / n_steps, stream, n_paths * n_steps)
-        return steps.reshape(n_paths, n_steps).sum(axis=1)
+        def block(k: int) -> np.ndarray:
+            steps = increments(law, 1.0, horizon / n_steps, stream, k * n_steps)
+            return steps.reshape(k, n_steps).sum(axis=1)
+
+        return _in_blocks(n_paths, paths_per_block, block)
 
     # Heavy tails may overflow the sums and the rescale; inf - inf is NaN,
     # which the KS refuses.

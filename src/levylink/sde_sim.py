@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +90,14 @@ class GridSpec:
         return self.t_end / self.n_steps
 
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.n_steps + 1)
+        """The n_steps + 1 grid times: one read-only array shared by every path."""
+        return self._times
+
+    @cached_property
+    def _times(self) -> np.ndarray:
+        times = np.linspace(0.0, self.t_end, self.n_steps + 1)
+        times.flags.writeable = False
+        return times
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,13 @@ or a rounded-negative cosine and give NaN.  ``sample_n`` re-evaluates just
 those lanes with :func:`log_space_kernel`, so every other draw keeps the
 bits of the product form.
 
+The uniform-consuming branches run in blocks of at most 2**14 variates:
+each block draws its uniforms, runs the kernel and the NaN-lane repair, and
+is written into the result, so the temporaries stay in cache and their
+memory is bounded by the block, not by n.  Blocks end on whole variates and
+the kernels are elementwise, so the bits and the draw schedule are those of
+one pass over all n.
+
 ``StableParams`` checks its fields when built and raises ``ParameterError``
 (a ``ValueError``); ``sample_n`` trusts the parameters it is given.
 
@@ -59,6 +66,9 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _HALF_PI = 0.5 * math.pi
+# Variates per block of the uniform-consuming branches; noise_stats sums
+# its increments in blocks of 4 * _BLOCK.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -203,6 +213,38 @@ def _shift(r, params: StableParams):
     return r
 
 
+def _in_blocks(n: int, size: int, draw) -> np.ndarray:
+    """``draw(k)`` for consecutive blocks of at most ``size`` of ``n`` items, joined.
+
+    ``draw`` consumes its stream in item order, so the result has the bits
+    of ``draw(n)``; with ``n <= size`` it is ``draw(n)`` itself, uncopied.
+    """
+    if n <= size:
+        return draw(n)
+    out = np.empty(n)
+    for start in range(0, n, size):
+        out[start:start + size] = draw(min(size, n - start))
+    return out
+
+
+def _from_uniforms(a: float, b: float, stream: RngStream, n: int) -> np.ndarray:
+    """``n`` standard variates of the cauchy, symmetric, skewed or unit-index branch."""
+    if a == 1.0 and b == 0.0:
+        return cauchy_kernel(stream.uniforms(n))
+    u = stream.uniforms(2 * n)
+    u1, u2 = u[0::2], u[1::2]
+    if b == 0.0:
+        r = symmetric_kernel(a, u1, u2)
+    elif a != 1.0:
+        r = skewed_kernel(a, b, u1, u2)
+    else:
+        r = unit_index_kernel(b, u1, u2)
+    if a != 1.0 and np.isnan(r).any():
+        lanes = np.isnan(r)
+        r[lanes] = log_space_kernel(a, b, u1[lanes], u2[lanes])
+    return r
+
+
 def sample_n(params: StableParams, stream: RngStream, n: int) -> np.ndarray:
     """Draw ``n`` independent stable variates from ``stream``.
 
@@ -210,6 +252,10 @@ def sample_n(params: StableParams, stream: RngStream, n: int) -> np.ndarray:
     on the same stream; batching does not change the draw schedule.  No
     draw is NaN for valid ``params`` (alpha near 0 or 1 included); tails
     may overflow to +-inf.  The result is a fresh array.
+
+    The uniform-consuming branches run in blocks of at most 2**14
+    variates, so their working memory beyond the result is bounded by the
+    block, not by ``n``; the bits and the schedule are those of one pass.
     """
     n = positive_count(n, "n")
     a, b = params.alpha, params.beta
@@ -220,22 +266,10 @@ def sample_n(params: StableParams, stream: RngStream, n: int) -> np.ndarray:
         if a == 2.0:
             r = stream.normals(n)
             r *= _SQRT2
-        elif a == 1.0 and b == 0.0:
-            r = cauchy_kernel(stream.uniforms(n))
         elif a == 0.5 and abs(b) == 1.0:
             r = stream.normals(n)
             np.square(r, out=r)
             np.divide(b, r, out=r)
         else:
-            u = stream.uniforms(2 * n)
-            u1, u2 = u[0::2], u[1::2]
-            if b == 0.0:
-                r = symmetric_kernel(a, u1, u2)
-            elif a != 1.0:
-                r = skewed_kernel(a, b, u1, u2)
-            else:
-                r = unit_index_kernel(b, u1, u2)
-            if a != 1.0 and np.isnan(r).any():
-                lanes = np.isnan(r)
-                r[lanes] = log_space_kernel(a, b, u1[lanes], u2[lanes])
+            r = _in_blocks(n, _BLOCK, lambda k: _from_uniforms(a, b, stream, k))
         return _shift(r, params)

@@ -136,6 +136,16 @@ def test_grid_spec_refuses_non_integer_steps():
     assert GridSpec(t_end=1.0, n_steps=np.int64(4)).times().size == 5
 
 
+def test_every_path_of_a_grid_shares_one_read_only_times_array():
+    grid = GridSpec(t_end=1.0, n_steps=8)
+    paths = [simulate(m, grid, RngStream(53, i)) for i, m in enumerate([ou_model(), glm_model()] * 2)]
+    assert all(p.times is grid.times() for p in paths)
+    assert grid.times().tobytes() == np.linspace(0.0, 1.0, 9).tobytes()
+    with pytest.raises(ValueError):
+        paths[0].times[1] = 5.0
+    assert GridSpec(t_end=1.0, n_steps=8).times() is not grid.times()
+
+
 def test_trajectory_shape_and_initial_value():
     grid = GridSpec(t_end=1.0, n_steps=16)
     traj = simulate(ou_model(x0=2.5), grid, RngStream(50))
