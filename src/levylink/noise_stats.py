@@ -14,15 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .stable_rng import (
-    _BLOCK,
-    StableParams,
-    _in_blocks,
-    non_negative_real,
-    positive_count,
-    positive_real,
-    sample_n,
-)
+from .stable_rng import _BLOCK, StableParams, _in_blocks, sample_n
+from .stable_rng import non_negative_real, positive_count, positive_real
 from .streams import RngStream
 
 __all__ = [
