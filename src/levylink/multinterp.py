@@ -144,9 +144,9 @@ class Interpolant:
 def fit(nodes, values, n: int, m: int) -> Interpolant:
     """Interpolate ``values`` at ``nodes`` by a degree-``n`` polynomial in ``m`` variables.
 
-    Requires exactly rho = C(n+m, n) nodes.  Coefficients solve the square
-    system M a = f, with one iterative-refinement pass; the residual is
-    required to meet 1e-8 * (1 + max|f|).
+    Requires exactly rho = C(n+m, n) nodes, all nodes and values finite.
+    Coefficients solve the square system M a = f, with one
+    iterative-refinement pass; the residual must meet 1e-8 * (1 + max|f|).
     """
     rho = math.comb(n + m, n)
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
@@ -158,6 +158,9 @@ def fit(nodes, values, n: int, m: int) -> Interpolant:
         )
     if values.size != rho:
         raise DimensionMismatch(f"expected {rho} values, got {values.size}")
+    for name, array in (("nodes", nodes), ("values", values)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"fit needs finite {name}")
 
     exponents = enumerate_exponents(n, m)
     matrix = _monomials(nodes, exponents)

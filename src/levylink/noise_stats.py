@@ -3,14 +3,14 @@
 The driving noise of the simulators is synthesized from its scaling law: an
 increment over a step of length dt is distributed as dt**(1/alpha) times a
 standard symmetric stable variate, scaled by the noise amplitude.  The same
-module carries the Kolmogorov-Smirnov tooling used to check distributional
-claims, including the self-similarity check.
+module carries the two-sample Kolmogorov-Smirnov test and the
+self-similarity check built on it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "EmptySample",
     "increments",
     "empirical_ks_two_sample",
-    "empirical_ks_one_sample",
     "self_similarity_check",
 ]
 
@@ -129,20 +128,6 @@ def empirical_ks_two_sample(
     return KsReport(statistic=stat, critical_value=crit, passed=stat < crit, significance=significance)
 
 
-def empirical_ks_one_sample(
-    xs: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray], significance: float = 0.01
-) -> KsReport:
-    """One-sample KS test of ``xs`` against the continuous CDF ``cdf``."""
-    coeff = _ks_coefficient(significance)
-    xs = np.sort(_sample(xs, "one-sample KS"))
-    n = xs.size
-    f = np.asarray(cdf(xs), dtype=float)
-    grid = np.arange(1, n + 1) / n
-    stat = float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
-    crit = coeff / math.sqrt(n)
-    return KsReport(statistic=stat, critical_value=crit, passed=stat < crit, significance=significance)
-
-
 def self_similarity_check(
     alpha: float,
     c: float,
@@ -159,12 +144,8 @@ def self_similarity_check(
     rescaled by c**(1/alpha).  Under the scaling law the two samples share
     one distribution, so the test passes with probability
     1 - significance.  Every argument is checked before anything is drawn.
-
-    Increments are drawn and summed in blocks of whole paths, at most 2**16
-    increments each (one path when ``n_steps`` is longer), so memory is
-    bounded by the block and ``n_paths``, not by n_paths * n_steps.  A row
-    sum never crosses a path, so the bits and the draw schedule are those
-    of drawing all increments at once.
+    Paths are drawn and summed in blocks, as the ``stable_rng`` module
+    docstring states.
     """
     law = StableParams(alpha=alpha)  # checks alpha first
     positive_real(c, "c")
@@ -176,7 +157,7 @@ def self_similarity_check(
     stretch = _power(c, alpha, "c")
     _ks_coefficient(significance)
 
-    paths_per_block = max(1, 4 * _BLOCK // n_steps)
+    paths_per_block = max(1, _BLOCK // n_steps)
 
     def endpoints(horizon: float) -> np.ndarray:
         def block(k: int) -> np.ndarray:

@@ -89,12 +89,9 @@ class GridSpec:
     def dt(self) -> float:
         return self.t_end / self.n_steps
 
+    @cached_property
     def times(self) -> np.ndarray:
         """The n_steps + 1 grid times: one read-only array shared by every path."""
-        return self._times
-
-    @cached_property
-    def _times(self) -> np.ndarray:
         times = np.linspace(0.0, self.t_end, self.n_steps + 1)
         times.flags.writeable = False
         return times
@@ -149,7 +146,7 @@ def simulate(model: ModelSpec, grid: GridSpec, stream: RngStream) -> Trajectory:
             breach = int(breaches[0])
 
     return Trajectory(
-        times=grid.times(),
+        times=grid.times,
         values=values,
         overflowed=not bool(np.isfinite(values).all()),
         factor_breach_step=breach,

@@ -30,12 +30,14 @@ or a rounded-negative cosine and give NaN.  ``sample_n`` re-evaluates just
 those lanes with :func:`log_space_kernel`, so every other draw keeps the
 bits of the product form.
 
-The uniform-consuming branches run in blocks of at most 2**14 variates:
-each block draws its uniforms, runs the kernel and the NaN-lane repair, and
-is written into the result, so the temporaries stay in cache and their
-memory is bounded by the block, not by n.  Blocks end on whole variates and
-the kernels are elementwise, so the bits and the draw schedule are those of
-one pass over all n.
+Draw blocks: a large draw runs in blocks of at most ``_BLOCK`` = 2**14
+items, each drawn, transformed and written into one result, so temporaries
+stay in cache and memory is bounded by the block, not by the request.
+``sample_n`` blocks the variates of its uniform-consuming branches, and
+``noise_stats.self_similarity_check`` blocks whole paths of increments (one
+path per block when a path is longer).  Blocks end on whole items and each
+step is elementwise or per path, so the bits and the draw schedule are
+those of one pass over the whole request.
 
 ``StableParams`` checks its fields when built and raises ``ParameterError``
 (a ``ValueError``); ``sample_n`` trusts the parameters it is given.
@@ -66,8 +68,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _HALF_PI = 0.5 * math.pi
-# Variates per block of the uniform-consuming branches; noise_stats sums
-# its increments in blocks of 4 * _BLOCK.
+# Items per draw block; the module docstring states the block rule.
 _BLOCK = 1 << 14
 
 
@@ -216,8 +217,7 @@ def _shift(r, params: StableParams):
 def _in_blocks(n: int, size: int, draw) -> np.ndarray:
     """``draw(k)`` for consecutive blocks of at most ``size`` of ``n`` items, joined.
 
-    ``draw`` consumes its stream in item order, so the result has the bits
-    of ``draw(n)``; with ``n <= size`` it is ``draw(n)`` itself, uncopied.
+    With ``n <= size`` it is ``draw(n)`` itself, uncopied.
     """
     if n <= size:
         return draw(n)
@@ -251,11 +251,8 @@ def sample_n(params: StableParams, stream: RngStream, n: int) -> np.ndarray:
     Element ``i`` equals the i-th value of ``n`` repeated one-variate calls
     on the same stream; batching does not change the draw schedule.  No
     draw is NaN for valid ``params`` (alpha near 0 or 1 included); tails
-    may overflow to +-inf.  The result is a fresh array.
-
-    The uniform-consuming branches run in blocks of at most 2**14
-    variates, so their working memory beyond the result is bounded by the
-    block, not by ``n``; the bits and the schedule are those of one pass.
+    may overflow to +-inf.  The result is a fresh array, drawn in blocks
+    as the module docstring states.
     """
     n = positive_count(n, "n")
     a, b = params.alpha, params.beta

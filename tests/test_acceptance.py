@@ -15,14 +15,12 @@ import numpy as np
 
 from levylink.link_fit import SampleRow, detect_first_jump, fit_link
 from levylink.multinterp import SingularSampleMatrix, cardinal, enumerate_exponents, evaluate, evaluate_cardinal, fit
-from levylink.noise_stats import (
-    empirical_ks_one_sample,
-    empirical_ks_two_sample,
-    self_similarity_check,
-)
+from levylink.noise_stats import empirical_ks_two_sample, self_similarity_check
 from levylink.sde_sim import GridSpec, ModelKind, ModelSpec, simulate
 from levylink.stable_rng import StableParams, sample_n
 from levylink.streams import RngStream
+
+from ks_oracle import empirical_ks_one_sample
 
 ROOT = Path(__file__).resolve().parent.parent
 

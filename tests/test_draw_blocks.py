@@ -2,7 +2,8 @@
 
 ``sample_n`` runs its uniform-consuming branches in blocks of
 ``stable_rng._BLOCK`` variates, and ``self_similarity_check`` draws and sums
-its increments in blocks of whole paths.  The oracles below draw each
+its increments in blocks of whole paths, at most ``_BLOCK`` increments each
+(one path when a path is longer).  The oracles below draw each
 request in one pass, as both did before they were blocked; the blocked
 results must have the same bytes and leave the stream at the same point.
 """
@@ -25,7 +26,7 @@ from levylink.stable_rng import (
 from levylink.streams import RngStream
 
 B = stable_rng._BLOCK
-PATHS_PER_BLOCK_AT_32_STEPS = 4 * B // 32
+PATHS_PER_BLOCK_AT_32_STEPS = B // 32
 
 
 def single_pass_sample_n(params, stream, n):
@@ -118,7 +119,7 @@ def test_nan_lanes_fall_on_both_sides_of_a_block_boundary(name):
 
 CHECKS = {
     # (alpha, c, t, n_paths, n_steps)
-    "one-step-paths": (1.5, 2.0, 1.0, 4 * B + 7, 1),
+    "one-step-paths": (1.5, 2.0, 1.0, 2 * B + 7, 1),
     "steps-above-block": (1.2, 3.0, 0.5, 5, B + 3),
     "paths-not-whole-blocks": (1.7, 4.0, 2.0, 2 * PATHS_PER_BLOCK_AT_32_STEPS + 7, 32),
     "gaussian": (2.0, 4.0, 1.0, 2 * PATHS_PER_BLOCK_AT_32_STEPS + 7, 32),

@@ -31,7 +31,7 @@ lambda,mu,alpha,t,x
 
 RNG = ["rng", "--n", "40", "--seed", "5"]
 # Sizes that straddle the draw blocks: sample_n draws at most 2**14 variates
-# per block, and self_similarity_check at most 2**16 increments per block of
+# per block, and self_similarity_check at most 2**14 increments per block of
 # whole paths (one path when n_steps is longer).
 RNG_BLOCKS = ["rng", "--n", str(3 * 2**14 + 5), "--seed", "5"]
 
@@ -100,13 +100,13 @@ GOLDEN = {
         RNG_BLOCKS + ["--alpha", "1"],
         "fde324b3a72a088747bfe74d11709509ac6bbdc527bb41a7c31498ed5f112bf6",
     ),
-    # 4,099 paths of 16 steps: 65,584 increments, 4,096 paths per block.
+    # 4,099 paths of 16 steps: 1,024 paths per block, so four whole blocks and 3 paths.
     "selfsim-path-blocks": (
         ["selfsim", "--alpha", "1.5", "--c", "2", "--paths", "4099", "--steps", "16",
          "--seed", "3"],
         "1b4fc097b11da3ed28fbc781539a6e0cad0cf31b50ee45a7963a4aa00cb9ba35",
     ),
-    # 16,390 steps per path, more than one sample_n block; 3 paths per block.
+    # 16,390 steps per path, more than one sample_n block; one path per block.
     "selfsim-long-steps": (
         ["selfsim", "--alpha", "1.2", "--c", "3", "--paths", "25", "--steps", "16390",
          "--seed", "4"],

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levylink import link_fit
+from levylink import link_fit, sde_sim
 from levylink.link_fit import (
     LinkEquation,
     SampleRow,
@@ -279,6 +279,18 @@ def test_collect_rows_excludes_noiseless_triples():
     result = collect_rows([(1.0, 0.0, 1.5)], ModelKind.OU, grid, 10.0, RngStream(75))
     assert result.rows == []
     assert result.excluded == [(1.0, 0.0, 1.5)]
+
+
+def test_collect_rows_excludes_a_triple_whose_first_jump_is_not_finite(monkeypatch):
+    # The forced OU path is 1, 0.5, 0.25, then inf from step 3: the first
+    # jump lands on inf, which no SampleRow may hold.
+    monkeypatch.setattr(
+        sde_sim, "increments", lambda law, scale, dt, stream, n: np.array([0.0, 0.0, math.inf, 0.0])
+    )
+    grid = GridSpec(t_end=2.0, n_steps=4)
+    result = collect_rows([(1.0, 1.0, 1.5)], ModelKind.OU, grid, 10.0, RngStream(79))
+    assert result.rows == []
+    assert result.excluded == [(1.0, 1.0, 1.5)]
 
 
 def test_collect_rows_is_deterministic_and_keyed_by_triple_index():

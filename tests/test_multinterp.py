@@ -243,6 +243,21 @@ def test_fit_rejects_wrong_node_count():
         fit([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]], [0.0, 1.0, 2.0], 2, 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["nodes", "values"])
+def test_fit_refuses_non_finite_nodes_and_values(where, bad):
+    # A NaN passes the residual bound (NaN > bound is False) and an infinite
+    # node reads as a singular matrix; both are refused by name instead.
+    nodes, values = [[0.0], [1.0]], [0.0, 1.0]
+    if where == "nodes":
+        nodes[1] = [bad]
+    else:
+        values[1] = bad
+    with pytest.raises(ValueError, match=f"^fit needs finite {where}$") as info:
+        fit(nodes, values, n=1, m=1)
+    assert type(info.value) is ValueError
+
+
 def test_fit_rejects_repeated_nodes():
     nodes = [[1.0, 1.0], [1.0, 1.0], [0.0, 2.0]]
     with pytest.raises(SingularSampleMatrix):

@@ -1,4 +1,7 @@
-"""Noise increments, KS machinery against an empirical-CDF reference, self-similarity check."""
+"""Noise increments, KS machinery against an empirical-CDF reference, self-similarity check.
+
+The one-sample KS oracle of ``ks_oracle`` is pinned here against scipy.
+"""
 import math
 
 import numpy as np
@@ -9,13 +12,14 @@ from scipy import stats
 
 from levylink.noise_stats import (
     EmptySample,
-    empirical_ks_one_sample,
     empirical_ks_two_sample,
     increments,
     self_similarity_check,
 )
 from levylink.stable_rng import StableParams, sample_n
 from levylink.streams import RngStream
+
+from ks_oracle import empirical_ks_one_sample
 
 
 # ----------------------------------------------------------------- increments
@@ -265,6 +269,22 @@ def test_ks_one_sample_exact_uniform_grid():
     # D = max(1/2 - 1/4, 1 - 3/4, 1/4 - 0, 3/4 - 1/2) = 0.25.
     report = empirical_ks_one_sample([0.25, 0.75], lambda x: np.asarray(x), significance=0.05)
     assert report.statistic == pytest.approx(0.25)
+
+
+def test_ks_one_sample_takes_d_minus_when_it_dominates():
+    # Sample {0.8, 0.9} against the uniform CDF: D+ = max(1/2 - 0.8, 1 - 0.9)
+    # = 0.1 and D- = max(0.8 - 0, 0.9 - 1/2) = 0.8.
+    report = empirical_ks_one_sample([0.8, 0.9], lambda x: np.asarray(x), significance=0.05)
+    assert report.statistic == pytest.approx(0.8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=200))
+def test_ks_one_sample_matches_scipy_kstest(xs):
+    report = empirical_ks_one_sample(xs, lambda x: np.asarray(x), significance=0.01)
+    want = stats.kstest(xs, "uniform").statistic
+    assert report.statistic == pytest.approx(want, rel=0, abs=1e-15)
+    assert report.critical_value == 1.628 / math.sqrt(len(xs))
 
 
 def test_ks_calibration_on_matched_cauchy_samples():

@@ -1,4 +1,5 @@
 """Euler simulation of the two jump models and their flags."""
+import dataclasses
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levylink import sde_sim
 from levylink.noise_stats import increments
 from levylink.sde_sim import (
     GridSpec,
@@ -125,7 +127,7 @@ def test_grid_spec_validation_and_times():
         GridSpec(t_end=1.0, n_steps=0)
     grid = GridSpec(t_end=2.0, n_steps=4)
     assert grid.dt == 0.5
-    assert np.allclose(grid.times(), [0.0, 0.5, 1.0, 1.5, 2.0], rtol=0, atol=0)
+    assert np.allclose(grid.times, [0.0, 0.5, 1.0, 1.5, 2.0], rtol=0, atol=0)
 
 
 def test_grid_spec_refuses_non_integer_steps():
@@ -133,17 +135,19 @@ def test_grid_spec_refuses_non_integer_steps():
         GridSpec(t_end=1.0, n_steps=2.5)
     with pytest.raises(TypeError):
         GridSpec(t_end=1.0, n_steps=4.0)
-    assert GridSpec(t_end=1.0, n_steps=np.int64(4)).times().size == 5
+    assert GridSpec(t_end=1.0, n_steps=np.int64(4)).times.size == 5
 
 
 def test_every_path_of_a_grid_shares_one_read_only_times_array():
     grid = GridSpec(t_end=1.0, n_steps=8)
     paths = [simulate(m, grid, RngStream(53, i)) for i, m in enumerate([ou_model(), glm_model()] * 2)]
-    assert all(p.times is grid.times() for p in paths)
-    assert grid.times().tobytes() == np.linspace(0.0, 1.0, 9).tobytes()
+    assert all(p.times is grid.times for p in paths)
+    assert grid.times.tobytes() == np.linspace(0.0, 1.0, 9).tobytes()
     with pytest.raises(ValueError):
         paths[0].times[1] = 5.0
-    assert GridSpec(t_end=1.0, n_steps=8).times() is not grid.times()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.times = np.zeros(9)
+    assert GridSpec(t_end=1.0, n_steps=8).times is not grid.times
 
 
 def test_trajectory_shape_and_initial_value():
@@ -296,6 +300,35 @@ def test_overflow_is_flagged_and_propagated():
     traj = simulate(ou_model(lam=1e12, mu=0.0), grid, RngStream(61))
     assert traj.overflowed
     assert not np.isfinite(traj.values[-1]) or np.isinf(traj.values[-1])
+
+
+def force_increments(monkeypatch, draws):
+    """Make ``simulate`` take ``draws`` as its stable increments, whatever the law."""
+    monkeypatch.setattr(
+        sde_sim, "increments", lambda law, scale, dt, stream, n: np.array(draws, dtype=float)
+    )
+
+
+class ZeroNormals:
+    """A stream stub whose Brownian draws are all zero."""
+
+    def normals(self, n):
+        return np.zeros(n)
+
+
+def test_a_glm_factor_of_exactly_minus_one_is_a_breach(monkeypatch):
+    # dt = 0.5, so the factors are 1.5 + [0, -2.5, 0] = [1.5, -1.0, 1.5], exactly.
+    force_increments(monkeypatch, [0.0, -2.5, 0.0])
+    traj = simulate(glm_model(lam=1.0, mu=1.0), GridSpec(t_end=1.5, n_steps=3), ZeroNormals())
+    assert traj.values.tolist() == [1.0, 1.5, -1.5, -2.25]
+    assert traj.factor_breach_step == 1
+
+
+def test_a_path_that_turns_nan_without_an_inf_is_flagged(monkeypatch):
+    force_increments(monkeypatch, [0.0, math.nan, 0.0])
+    traj = simulate(ou_model(), GridSpec(t_end=1.0, n_steps=3), RngStream(62))
+    assert np.isnan(traj.values[2:]).all() and not np.isinf(traj.values).any()
+    assert traj.overflowed
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import levy_stable
 
-from levylink.noise_stats import empirical_ks_one_sample, empirical_ks_two_sample
+from levylink.noise_stats import empirical_ks_two_sample
 from levylink.stable_rng import (
     ParameterError,
     StableParams,
@@ -19,6 +19,8 @@ from levylink.stable_rng import (
     unit_index_kernel,
 )
 from levylink.streams import RngStream
+
+from ks_oracle import empirical_ks_one_sample
 
 
 def cauchy_cdf(x):

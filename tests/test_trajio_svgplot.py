@@ -266,8 +266,10 @@ def test_svg_filters_nonfinite_points():
 
 def test_svg_handles_degenerate_span():
     svg = render_paths_svg([(np.array([0.0, 1.0]), np.array([5.0, 5.0]))])
-    ET.fromstring(svg)
+    labels = [e.text for e in ET.fromstring(svg).iter() if e.tag.endswith("text")]
     assert "polyline" in svg
+    # A constant path's value axis reads value -+ 0.5.
+    assert labels == ["t", "X_t", "0", "1", "4.5", "5.5"]
 
 
 def test_svg_handles_empty_input():
