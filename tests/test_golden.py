@@ -100,6 +100,18 @@ GOLDEN = {
         RNG_BLOCKS + ["--alpha", "1"],
         "fde324b3a72a088747bfe74d11709509ac6bbdc527bb41a7c31498ed5f112bf6",
     ),
+    "rng-gaussian-blocks": (
+        RNG_BLOCKS + ["--alpha", "2"],
+        "775865da3f7791ba4006ebd8ec011e29a7bd83e6e98c32cd8c839d3eb44f3004",
+    ),
+    "rng-levy-blocks": (
+        RNG_BLOCKS + ["--alpha", "0.5", "--beta", "1"],
+        "606ad32d26508a4d159f5187217818e9e2c6ad1441833449e385436afe184cef",
+    ),
+    "rng-unit-index-blocks": (
+        RNG_BLOCKS + ["--alpha", "1", "--beta", "0.5"],
+        "fc4a9f1569aad82d0dcd8ea9732e994cd7603b0c31808a282c6b1c9de0a6dbff",
+    ),
     # 4,099 paths of 16 steps: 1,024 paths per block, so four whole blocks and 3 paths.
     "selfsim-path-blocks": (
         ["selfsim", "--alpha", "1.5", "--c", "2", "--paths", "4099", "--steps", "16",
