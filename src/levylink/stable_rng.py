@@ -10,8 +10,7 @@ branch      condition                  consumes      transform
 gaussian    alpha == 2                 one normal    sqrt(2) * N
 cauchy      alpha == 1 and beta == 0   one uniform   tan(pi/2 * (2U - 1))
 levy        alpha == 0.5, |beta| == 1  one normal    beta / N**2
-symmetric   beta == 0                  two uniforms  CMS formula, skew-free
-skewed      alpha != 1                 two uniforms  CMS formula with skew
+CMS         alpha != 1                 two uniforms  CMS formula (beta == 0 too)
 unit-index  alpha == 1, beta != 0      two uniforms  logarithmic formula
 ==========  =========================  ============  ==========================
 
@@ -19,21 +18,22 @@ The two-uniform branches build the CMS angle V = pi/2 * (2*U1 - 1) and the
 exponential clock W = -log(U2), consuming U1 before U2, so a flat batch of
 2n uniforms maps to variates as (u[0], u[1]) -> x[0], (u[2], u[3]) -> x[1]
 and so on.  Uniforms come from ``RngStream.uniforms`` and live strictly
-inside (0, 1).
+inside (0, 1).  At beta == 0 the CMS shift is +-0 and its scale 1, both
+applied exactly, so skew-free draws have the bits of the skew-free formula.
 
 Shift rule: x = gamma * r + delta, except alpha == 1 where the location
 additionally picks up (2/pi) * beta * gamma * log(gamma).  A zero scale
 maps every draw to the location, an infinite one included.
 
 Near alpha -> 0 and alpha -> 1 the CMS product can meet 0 * inf, inf / inf
-or a rounded-negative cosine and give NaN.  ``sample_n`` re-evaluates just
+or a rounded-negative cosine and give NaN.  The CMS branch re-evaluates just
 those lanes with :func:`log_space_kernel`, so every other draw keeps the
 bits of the product form.
 
 Draw blocks: a large draw runs in blocks of at most ``_BLOCK`` = 2**14
 items, each drawn, transformed and written into one result, so temporaries
 stay in cache and memory is bounded by the block, not by the request.
-``sample_n`` blocks the variates of its uniform-consuming branches, and
+``sample_n`` blocks the variates of every branch, and
 ``noise_stats.self_similarity_check`` blocks whole paths of increments (one
 path per block when a path is longer).  Blocks end on whole items and each
 step is elementwise or per path, so the bits and the draw schedule are
@@ -60,7 +60,6 @@ __all__ = [
     "ParameterError",
     "sample_n",
     "cauchy_kernel",
-    "symmetric_kernel",
     "skewed_kernel",
     "unit_index_kernel",
     "log_space_kernel",
@@ -140,19 +139,8 @@ def cauchy_kernel(u):
     return np.tan(_angle(u))
 
 
-def symmetric_kernel(alpha, u1, u2):
-    """Standard symmetric stable variate from two uniforms (beta=0 branch)."""
-    v = _angle(u1)
-    w = -np.log(u2)
-    return (
-        np.sin(alpha * v)
-        / np.cos(v) ** (1.0 / alpha)
-        * (np.cos(v * (1.0 - alpha)) / w) ** ((1.0 - alpha) / alpha)
-    )
-
-
 def skewed_kernel(alpha, beta, u1, u2):
-    """Standard skewed stable variate from two uniforms (alpha != 1 branch)."""
+    """Standard stable variate from two uniforms by the CMS formula (alpha != 1)."""
     v = _angle(u1)
     w = -np.log(u2)
     const = beta * math.tan(_HALF_PI * alpha)
@@ -227,20 +215,25 @@ def _in_blocks(n: int, size: int, draw) -> np.ndarray:
     return out
 
 
-def _from_uniforms(a: float, b: float, stream: RngStream, n: int) -> np.ndarray:
-    """``n`` standard variates of the cauchy, symmetric, skewed or unit-index branch."""
+def _standard(a: float, b: float, stream: RngStream, n: int) -> np.ndarray:
+    """``n`` standard variates of the branch ``(a, b)`` selects, as a fresh array."""
+    # Fresh arrays change in place: the bits of out of place, without temporaries.
+    if a == 2.0:
+        r = stream.normals(n)
+        r *= _SQRT2
+        return r
     if a == 1.0 and b == 0.0:
         return cauchy_kernel(stream.uniforms(n))
+    if a == 0.5 and abs(b) == 1.0:
+        r = stream.normals(n)
+        return np.divide(b, np.square(r, out=r), out=r)
     u = stream.uniforms(2 * n)
     u1, u2 = u[0::2], u[1::2]
-    if b == 0.0:
-        r = symmetric_kernel(a, u1, u2)
-    elif a != 1.0:
-        r = skewed_kernel(a, b, u1, u2)
-    else:
-        r = unit_index_kernel(b, u1, u2)
-    if a != 1.0 and np.isnan(r).any():
-        lanes = np.isnan(r)
+    if a == 1.0:
+        return unit_index_kernel(b, u1, u2)
+    r = skewed_kernel(a, b, u1, u2)
+    lanes = np.isnan(r)
+    if lanes.any():
         r[lanes] = log_space_kernel(a, b, u1[lanes], u2[lanes])
     return r
 
@@ -258,15 +251,4 @@ def sample_n(params: StableParams, stream: RngStream, n: int) -> np.ndarray:
     a, b = params.alpha, params.beta
     # Stable tails legitimately overflow float64; propagate IEEE infs.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # Each branch makes a fresh array, which is scaled and shifted in
-        # place: the same IEEE operations as out of place, without temporaries.
-        if a == 2.0:
-            r = stream.normals(n)
-            r *= _SQRT2
-        elif a == 0.5 and abs(b) == 1.0:
-            r = stream.normals(n)
-            np.square(r, out=r)
-            np.divide(b, r, out=r)
-        else:
-            r = _in_blocks(n, _BLOCK, lambda k: _from_uniforms(a, b, stream, k))
-        return _shift(r, params)
+        return _shift(_in_blocks(n, _BLOCK, lambda k: _standard(a, b, stream, k)), params)

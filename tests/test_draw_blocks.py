@@ -1,10 +1,9 @@
 """Blocked stable draws against single-pass oracles, and their memory.
 
-``sample_n`` runs its uniform-consuming branches in blocks of
-``stable_rng._BLOCK`` variates, and ``self_similarity_check`` draws and sums
-its increments in blocks of whole paths, at most ``_BLOCK`` increments each
-(one path when a path is longer).  The oracles below draw each
-request in one pass, as both did before they were blocked; the blocked
+``sample_n`` runs every branch in blocks of ``stable_rng._BLOCK`` variates,
+and ``self_similarity_check`` draws and sums its increments in blocks of
+whole paths, at most ``_BLOCK`` increments each (one path when a path is
+longer).  The oracles below draw each request in one pass, as both did before they were blocked; the blocked
 results must have the same bytes and leave the stream at the same point.
 """
 import math
@@ -20,17 +19,21 @@ from levylink.stable_rng import (
     log_space_kernel,
     sample_n,
     skewed_kernel,
-    symmetric_kernel,
     unit_index_kernel,
 )
 from levylink.streams import RngStream
+
+from symmetric_oracle import symmetric_kernel
 
 B = stable_rng._BLOCK
 PATHS_PER_BLOCK_AT_32_STEPS = B // 32
 
 
 def single_pass_sample_n(params, stream, n):
-    """``sample_n`` with every branch drawn over all ``n`` at once."""
+    """``sample_n`` with every branch drawn over all ``n`` at once.
+
+    Skew-free draws use the test-side copy of the skew-free formula.
+    """
     a, b = params.alpha, params.beta
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if a == 2.0:

@@ -15,12 +15,12 @@ from levylink.stable_rng import (
     log_space_kernel,
     sample_n,
     skewed_kernel,
-    symmetric_kernel,
     unit_index_kernel,
 )
 from levylink.streams import RngStream
 
 from ks_oracle import empirical_ks_one_sample
+from symmetric_oracle import symmetric_kernel
 
 
 def cauchy_cdf(x):
@@ -124,10 +124,10 @@ def test_sample_rejects_invalid_params():
 
 # ------------------------------------------------------------ forced kernels
 
-def test_symmetric_kernel_vanishes_at_central_angle():
+def test_skewed_kernel_vanishes_at_central_angle_at_zero_beta():
     # u1 = 0.5 puts the angle V at 0, where sin(alpha * V) = 0.
-    assert symmetric_kernel(1.5, 0.5, 0.37) == 0.0
-    assert symmetric_kernel(0.7, 0.5, 0.91) == 0.0
+    assert skewed_kernel(1.5, 0.0, 0.5, 0.37) == 0.0
+    assert skewed_kernel(0.7, 0.0, 0.5, 0.91) == 0.0
 
 
 def test_cauchy_kernel_median_is_zero():
@@ -139,12 +139,22 @@ def test_cauchy_kernel_quartiles():
     assert cauchy_kernel(0.25) == pytest.approx(-1.0, rel=1e-12)
 
 
-def test_skewed_kernel_reduces_to_symmetric_at_zero_beta():
-    for alpha in (0.3, 0.8, 1.5, 1.9):
-        for u1, u2 in ((0.21, 0.84), (0.66, 0.05)):
-            assert skewed_kernel(alpha, 0.0, u1, u2) == pytest.approx(
-                symmetric_kernel(alpha, u1, u2), rel=1e-12
-            )
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.one_of(
+        st.floats(1e-9, 1.0, exclude_max=True),
+        st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_skewed_kernel_reduces_to_symmetric_at_zero_beta(alpha, seed):
+    # The bits of the skew-free formula, on both sides of alpha = 1 (where
+    # the zero-skew shift is +0 below and -0 above), edge uniforms included.
+    u = RngStream(seed).uniforms(512)
+    u1, u2 = np.concatenate([u[0::2], EDGE_U1]), np.concatenate([u[1::2], EDGE_U2])
+    with np.errstate(all="ignore"):
+        got, want = skewed_kernel(alpha, 0.0, u1, u2), symmetric_kernel(alpha, u1, u2)
+    assert got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------- dispatch + shift
