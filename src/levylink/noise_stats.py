@@ -143,9 +143,9 @@ def self_similarity_check(
     as a sum of ``n_steps`` increments, and ``n_paths`` endpoints at time t
     rescaled by c**(1/alpha).  Under the scaling law the two samples share
     one distribution, so the test passes with probability
-    1 - significance.  Every argument is checked before anything is drawn.
-    Paths are drawn and summed in blocks, as the ``stable_rng`` module
-    docstring states.
+    1 - significance.  Every argument and both step lengths are checked
+    before anything is drawn.  Paths are drawn and summed in blocks, as the
+    ``stable_rng`` module docstring states.
     """
     law = StableParams(alpha=alpha)  # checks alpha first
     positive_real(c, "c")
@@ -155,13 +155,17 @@ def self_similarity_check(
     if not math.isfinite(c * t):
         raise ValueError(f"c*t overflows float64 for c={c!r}, t={t!r}")
     stretch = _power(c, alpha, "c")
+    steps = (c * t / n_steps, t / n_steps)
+    for dt in steps:
+        positive_real(dt, "dt")
+        _power(dt, alpha, "dt")
     _ks_coefficient(significance)
 
     paths_per_block = max(1, _BLOCK // n_steps)
 
-    def endpoints(horizon: float) -> np.ndarray:
+    def endpoints(dt: float) -> np.ndarray:
         def block(k: int) -> np.ndarray:
-            steps = increments(law, 1.0, horizon / n_steps, stream, k * n_steps)
+            steps = increments(law, 1.0, dt, stream, k * n_steps)
             return steps.reshape(k, n_steps).sum(axis=1)
 
         return _in_blocks(n_paths, paths_per_block, block)
@@ -169,7 +173,6 @@ def self_similarity_check(
     # Heavy tails may overflow the sums and the rescale; inf - inf is NaN,
     # which the KS refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        stretched = endpoints(c * t)
-        rescaled = endpoints(t)
+        stretched, rescaled = endpoints(steps[0]), endpoints(steps[1])
         rescaled *= stretch
     return empirical_ks_two_sample(stretched, rescaled, significance)

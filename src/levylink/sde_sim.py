@@ -84,6 +84,7 @@ class GridSpec:
     def __post_init__(self):
         positive_real(self.t_end, "t_end")
         positive_count(self.n_steps, "n_steps")
+        positive_real(self.dt, "dt")  # t_end / n_steps can underflow to 0
 
     @property
     def dt(self) -> float:

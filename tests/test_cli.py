@@ -667,6 +667,10 @@ ERROR_LINES = {
                    "t_end=0.0 must be a positive real"),
     "grid_steps": (["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS, "--steps", "0"],
                    "n_steps=0 must be a positive integer"),
+    # GLM without jumps draws only normals, so no stable draw ever saw the step.
+    "grid_dt": (["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS, "--model", "glm",
+                 "--no-jumps", "--t-end", "5e-324", "--steps", "2"],
+                "dt=0.0 must be a positive real"),
     "paths": (["simulate", "--alpha", "1.5", "--lambda", "1", "--paths", "0", *SIM_FLAGS],
               "paths=0 must be a positive integer"),
     "step_scale": (["simulate", "--alpha", "0.01", "--lambda", "1", *SIM_FLAGS,

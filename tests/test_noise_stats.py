@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from levylink import noise_stats
 from levylink.noise_stats import (
     EmptySample,
     empirical_ks_two_sample,
@@ -334,6 +335,27 @@ def test_self_similarity_refuses_a_bad_significance_before_drawing():
     with pytest.raises(ValueError, match="significance=0.02"):
         self_similarity_check(1.5, 2.0, 1.0, 10, 4, stream, significance=0.02)
     assert stream.uniforms(1)[0] == RngStream(56).uniforms(1)[0]
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        # The c*t step of 1e150 is harmless; the t step's dt**2 overflows.
+        ((0.5, 1e-10, 1e160, 1000, 1),
+         r"dt\*\*\(1/alpha\) overflows float64 for dt=1e\+160, alpha=0\.5"),
+        # The c*t step is 5e-324; the t step underflows to 0.
+        ((1.5, 2.0, 5e-324, 1000, 2), r"dt=0\.0 must be a positive real"),
+    ],
+    ids=["t-step-overflows", "t-step-underflows"],
+)
+def test_self_similarity_refuses_a_bad_step_before_drawing(args, message, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        noise_stats, "sample_n", lambda *a: calls.append(a) or sample_n(*a)
+    )
+    with pytest.raises(ValueError, match=message):
+        self_similarity_check(*args, RngStream(56))
+    assert calls == []
 
 
 def test_self_similarity_refuses_an_overflowing_horizon():

@@ -130,6 +130,11 @@ def test_grid_spec_validation_and_times():
     assert np.allclose(grid.times, [0.0, 0.5, 1.0, 1.5, 2.0], rtol=0, atol=0)
 
 
+def test_grid_spec_refuses_a_step_that_underflows_to_zero():
+    with pytest.raises(ValueError, match=r"^dt=0\.0 must be a positive real$"):
+        GridSpec(t_end=5e-324, n_steps=2)
+
+
 def test_grid_spec_refuses_non_integer_steps():
     with pytest.raises(TypeError):
         GridSpec(t_end=1.0, n_steps=2.5)
