@@ -97,10 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_same_file(flag, path, other_flag, other):
-    """``ValueError`` when ``path`` is given and resolves to the same file as ``other``."""
+def _refuse_same_file(path, other, names):
+    """``ValueError`` when ``path`` is given and resolves to ``other``; ``names`` formats both."""
     if path and os.path.realpath(path) == os.path.realpath(other):
-        raise ValueError(f"{flag} {path!r} and {other_flag} {other!r} name the same file")
+        raise ValueError(names.format(repr(path), repr(other)) + " name the same file")
 
 
 def _write_combinations(args, combos, outputs, outdir):
@@ -125,8 +125,9 @@ def _write_combinations(args, combos, outputs, outdir):
     ]
     grid = GridSpec(t_end=args.t_end, n_steps=args.steps)
     base = RngStream(args.seed)
+    names = "--svg {} and --out {}" if outdir is None else "--outdir files {} and {}"
     for csv_path, svg_path in outputs:
-        _refuse_same_file("--svg", svg_path, "--out", csv_path)
+        _refuse_same_file(svg_path, csv_path, names)
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
     for i, (model, (csv_path, svg_path)) in enumerate(zip(models, outputs)):
@@ -164,7 +165,7 @@ def cmd_fit_link(args) -> int:
     from .link_fit import fit_link
     from .trajio import atomic_write_text, format_real, read_link_rows_csv
 
-    _refuse_same_file("--out", args.out, "--input", args.input)
+    _refuse_same_file(args.out, args.input, "--out {} and --input {}")
     link = fit_link(read_link_rows_csv(args.input))
     report = {
         "beta": [format_real(b) for b in link.coefficients],

@@ -755,7 +755,9 @@ def test_sweep_refuses_an_svg_that_is_its_csv_before_writing(tmp_path):
             "--t-end", "1", "--steps", "8", "--seed", "1", "--outdir", "d", "--svg"]
     code, out, err = run_in_process(argv, tmp_path)
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.endswith(" name the same file\n"), err
+    # sweep has no --out and its --svg takes no path: the message names the two files.
+    svg, csv = os.path.join("d", "ou_l1_m1_a1p5.svg"), os.path.join("d", "ou_l1_m1_a1p5.csv")
+    assert err == f"error: --outdir files {svg!r} and {csv!r} name the same file\n"
     assert [p.name for p in (tmp_path / "d").iterdir()] == ["ou_l1_m1_a1p5.svg"]
 
 
