@@ -173,6 +173,6 @@ def self_similarity_check(
     # Heavy tails may overflow the sums and the rescale; inf - inf is NaN,
     # which the KS refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        stretched, rescaled = endpoints(steps[0]), endpoints(steps[1])
+        stretched, rescaled = map(endpoints, steps)
         rescaled *= stretch
     return empirical_ks_two_sample(stretched, rescaled, significance)

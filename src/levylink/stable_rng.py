@@ -18,7 +18,7 @@ The two-uniform branches build the CMS angle V = pi/2 * (2*U1 - 1) and the
 exponential clock W = -log(U2), consuming U1 before U2, so a flat batch of
 2n uniforms maps to variates as (u[0], u[1]) -> x[0], (u[2], u[3]) -> x[1]
 and so on.  Uniforms come from ``RngStream.uniforms`` and live strictly
-inside (0, 1).  At beta == 0 the CMS shift is +-0 and its scale 1, both
+inside (0, 1).  At beta == 0 the CMS shift is -0.0 and its scale 1, both
 applied exactly, so skew-free draws have the bits of the skew-free formula.
 
 Shift rule: x = gamma * r + delta, except alpha == 1 where the location
@@ -144,7 +144,8 @@ def skewed_kernel(alpha, beta, u1, u2):
     v = _angle(u1)
     w = -np.log(u2)
     const = beta * math.tan(_HALF_PI * alpha)
-    shift = math.atan(const)
+    # -0.0, not +0.0, at beta == 0: alpha * v + -0.0 keeps an underflowed -0.0.
+    shift = math.atan(const) if beta else -0.0
     scale = (1.0 + const * const) ** (1.0 / (2.0 * alpha))
     return (
         scale
@@ -217,7 +218,7 @@ def _in_blocks(n: int, size: int, draw) -> np.ndarray:
 
 def _standard(a: float, b: float, stream: RngStream, n: int) -> np.ndarray:
     """``n`` standard variates of the branch ``(a, b)`` selects, as a fresh array."""
-    # Fresh arrays change in place: the bits of out of place, without temporaries.
+    # The normal draws change in place: the bits of out of place, without temporaries.
     if a == 2.0:
         r = stream.normals(n)
         r *= _SQRT2

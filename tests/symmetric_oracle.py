@@ -1,8 +1,8 @@
 """The skew-free CMS formula, as the library wrote it before the CMS kernel took beta = 0 over.
 
 ``skewed_kernel(alpha, 0.0, u1, u2)`` must give these bits: at beta = 0
-its shift is +-0 and its scale 1, so the extra addition and product are
-exact.  The tests use this copy as the reference for every skew-free draw.
+its shift is -0.0 and its scale 1, so the extra addition and product are
+exact, signed zeros included.  The tests use this copy as the reference for every skew-free draw.
 """
 import math
 

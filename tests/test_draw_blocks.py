@@ -3,8 +3,9 @@
 ``sample_n`` runs every branch in blocks of ``stable_rng._BLOCK`` variates,
 and ``self_similarity_check`` draws and sums its increments in blocks of
 whole paths, at most ``_BLOCK`` increments each (one path when a path is
-longer).  The oracles below draw each request in one pass, as both did before they were blocked; the blocked
-results must have the same bytes and leave the stream at the same point.
+longer).  The oracles below draw each request in one pass, as both did
+before they were blocked; the blocked results must have the same bytes and
+leave the stream at the same point.
 """
 import math
 import tracemalloc

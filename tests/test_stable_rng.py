@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import levy_stable
 
@@ -142,16 +142,21 @@ def test_cauchy_kernel_quartiles():
 @settings(max_examples=200, deadline=None)
 @given(
     alpha=st.one_of(
-        st.floats(1e-9, 1.0, exclude_max=True),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
     ),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(alpha=5e-324, seed=0)
+@example(alpha=1e-310, seed=0)
 def test_skewed_kernel_reduces_to_symmetric_at_zero_beta(alpha, seed):
-    # The bits of the skew-free formula, on both sides of alpha = 1 (where
-    # the zero-skew shift is +0 below and -0 above), edge uniforms included.
+    # The bits of the skew-free formula, signed zeros included, on both sides
+    # of alpha = 1, at edge uniforms and at V just below 0, where alpha * V
+    # underflows to -0.0 for a subnormal alpha and the variate is -0.0.
     u = RngStream(seed).uniforms(512)
-    u1, u2 = np.concatenate([u[0::2], EDGE_U1]), np.concatenate([u[1::2], EDGE_U2])
+    centre = 0.5 - np.arange(1.0, 4.0) * 2.0**-53
+    u1 = np.concatenate([u[0::2], EDGE_U1, centre])
+    u2 = np.concatenate([u[1::2], EDGE_U2, np.full(centre.size, 0.01)])
     with np.errstate(all="ignore"):
         got, want = skewed_kernel(alpha, 0.0, u1, u2), symmetric_kernel(alpha, u1, u2)
     assert got.tobytes() == want.tobytes()
