@@ -271,6 +271,22 @@ def test_fit_rejects_degenerate_node_configuration():
         fit(nodes, [0.0, 1.0, 2.0], 1, 2)
 
 
+def test_fit_accepts_a_determinant_ten_times_its_tolerance():
+    # Rows (1, 0) and (1, 1e-11) have unit max-norm, so det 1e-11 > 1e-12.
+    interp = fit([[0.0], [1e-11]], [0.0, 1e-11], n=1, m=1)
+    assert interp.det_m == 1e-11
+    assert interp.coefficients.tolist() == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
+def test_fit_refuses_a_solve_whose_residual_exceeds_its_bound(monkeypatch):
+    # Each solve is off by 1e-6, so the refined coefficients are too and the
+    # residual reads 2e-6: above 1e-8 * (1 + max|f|) = 3e-8, below 3e-4.
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+    with pytest.raises(SingularSampleMatrix, match=r"^solve residual 2e-06 exceeds 3e-08;"):
+        fit([[0.0], [1.0]], [1.0, 2.0], n=1, m=1)
+
+
 # ------------------------------------------------------------------ cardinals
 
 def test_cardinal_delta_property():
