@@ -107,10 +107,12 @@ def _write_combinations(args, combos, outputs, outdir):
     """Simulate ``--paths`` paths per (lam, mu, alpha) of ``combos`` and write each one's files.
 
     ``outputs`` pairs each combination with its CSV path and its SVG path or
-    None.  Every input is checked before ``outdir`` (None: make no directory)
-    is made or a file written.  Path p of combination i draws on substream
-    i * paths + p of ``--seed``, so ``simulate`` is combination 0 of a sweep.
+    None.  Every input, and each jump model's step scale dt**(1/alpha), is
+    checked before ``outdir`` (None: make no directory) is made or a file
+    written.  Path p of combination i draws on substream i * paths + p of
+    ``--seed``, so ``simulate`` is combination 0 of a sweep.
     """
+    from .noise_stats import _power
     from .sde_sim import GridSpec, ModelSpec, simulate
     from .stable_rng import positive_count
     from .streams import RngStream
@@ -126,7 +128,9 @@ def _write_combinations(args, combos, outputs, outdir):
     grid = GridSpec(t_end=args.t_end, n_steps=args.steps)
     base = RngStream(args.seed)
     names = "--svg {} and --out {}" if outdir is None else "--outdir files {} and {}"
-    for csv_path, svg_path in outputs:
+    for model, (csv_path, svg_path) in zip(models, outputs):
+        if model.with_jumps:  # without jumps no stable draw is scaled
+            _power(grid.dt, model.alpha, "dt")
         _refuse_same_file(svg_path, csv_path, names)
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
@@ -228,7 +232,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import multinterp
+from .noise_stats import _power
 from .sde_sim import GridSpec, ModelKind, ModelSpec, Trajectory, simulate
 from .stable_rng import StableParams, finite_real, positive_real
 from .streams import RngStream
@@ -114,9 +115,7 @@ def detect_first_jump(traj: Trajectory, threshold_factor: float = 10.0):
     # step past the float range an expected inf, not errors.
     with np.errstate(over="ignore", invalid="ignore"):
         diffs = np.abs(np.diff(values))
-    keep = np.isfinite(diffs)
-    finite = diffs if keep.all() else diffs[keep]
-    median = _median(finite)
+    median = _median(diffs[np.isfinite(diffs)])
     threshold = threshold_factor * median if median > 0.0 else 0.0
     hits = np.flatnonzero(diffs > threshold)
     if hits.size == 0:
@@ -149,8 +148,9 @@ def collect_rows(
 ) -> CollectResult:
     """One SampleRow per (lambda, mu, alpha) triple whose path shows a jump.
 
-    Every triple and ``threshold_factor`` are checked before the first path
-    is simulated; triple i simulates on the substream ``stream_id + i``.
+    Every triple, its step scale dt**(1/alpha) and ``threshold_factor`` are
+    checked before the first path is simulated; triple i simulates on the
+    substream ``stream_id + i``.
     Triples with no qualifying jump, and the rare paths whose first jump
     lands on a non-finite value, go to the exclusion list instead.
     """
@@ -158,6 +158,8 @@ def collect_rows(
     if not triples:
         raise ValueError("parameter grid must be nonempty")
     models = [ModelSpec(model_kind, lam, mu, alpha, x0) for lam, mu, alpha in triples]
+    for model in models:
+        _power(grid.dt, model.alpha, "dt")
     positive_real(threshold_factor, "threshold_factor")
     rows: list[SampleRow] = []
     excluded: list[tuple[float, float, float]] = []

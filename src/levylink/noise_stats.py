@@ -59,17 +59,15 @@ def increments(
     """``n`` independent noise increments over steps of length ``dt``.
 
     Each increment is scale * dt**(1/alpha) * S with S drawn from ``law``
-    (checked when built; ``scale``, ``dt`` and ``n`` are checked here).  Zero
+    (checked when built; ``scale``, ``dt`` and ``n`` before any draw).  Zero
     scale gives exact zeros and consumes no draws.  A dt whose dt**(1/alpha)
-    overflows float64 is refused with ``ValueError`` before anything is
-    drawn; one whose dt**(1/alpha) underflows to 0 gives NaN at infinite draws.
+    overflows float64 is refused with ``ValueError`` at any scale; one whose
+    dt**(1/alpha) underflows to 0 gives NaN at infinite draws.
     """
     non_negative_real(scale, "scale")
-    positive_real(dt, "dt")
-    n = positive_count(n, "n")
-    if scale == 0.0:
-        return np.zeros(n)
     factor = scale * _power(dt, law.alpha, "dt")
+    if scale == 0.0:
+        return np.zeros(positive_count(n, "n"))
     draws = sample_n(law, stream, n)
     # In place, the bits of factor * draws.  Heavy tails overflow legitimately,
     # and a factor that underflows to 0 makes an infinite draw NaN (0 * inf).
@@ -79,7 +77,8 @@ def increments(
 
 
 def _power(base: float, alpha: float, name: str) -> float:
-    """``base ** (1/alpha)``; ``ValueError`` naming both when it overflows float64."""
+    """``base ** (1/alpha)``; ``ValueError`` unless base is a positive real whose power fits."""
+    positive_real(base, name)
     try:
         return base ** (1.0 / alpha)
     except OverflowError:
@@ -148,16 +147,14 @@ def self_similarity_check(
     ``stable_rng`` module docstring states.
     """
     law = StableParams(alpha=alpha)  # checks alpha first
-    positive_real(c, "c")
+    stretch = _power(c, alpha, "c")
     positive_real(t, "t")
     n_paths = positive_count(n_paths, "n_paths")
     n_steps = positive_count(n_steps, "n_steps")
     if not math.isfinite(c * t):
         raise ValueError(f"c*t overflows float64 for c={c!r}, t={t!r}")
-    stretch = _power(c, alpha, "c")
     steps = (c * t / n_steps, t / n_steps)
     for dt in steps:
-        positive_real(dt, "dt")
         _power(dt, alpha, "dt")
     _ks_coefficient(significance)
 

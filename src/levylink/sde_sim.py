@@ -139,7 +139,8 @@ def simulate(model: ModelSpec, grid: GridSpec, stream: RngStream) -> Trajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             jumps = 0.0
             if model.with_jumps:
-                jumps = model.mu * increments(model.noise, 1.0, dt, stream, n)
+                # Unit scale, or zero at mu = 0: no draws, so no 0 * inf.
+                jumps = model.mu * increments(model.noise, float(model.mu > 0.0), dt, stream, n)
             factors = (1.0 + lam_dt) + brownian + jumps
             values = np.multiply.accumulate(np.concatenate(([x0], factors)))
             breaches = np.flatnonzero(factors <= -1.0)

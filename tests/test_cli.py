@@ -190,11 +190,13 @@ def test_sweep_rejects_colliding_file_names(tmp_path, alphas):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--alphas", "1.5,2.5"], ["--alphas", "1.5", "--paths", "0"]],
-    ids=["later_alpha", "zero_paths"],
+    [["--alphas", "1.5,2.5"], ["--alphas", "1.5", "--paths", "0"],
+     ["--alphas", "1.5,0.5", "--t-end", "1e300", "--steps", "4"]],
+    ids=["later_alpha", "zero_paths", "later_step_scale"],
 )
 def test_sweep_checks_every_combination_before_writing(tmp_path, flags):
-    # An invalid later alpha or a bad --paths must leave no file and no --outdir.
+    # An invalid later alpha, a bad --paths or a later combination whose
+    # dt**(1/alpha) overflows must leave no file and no --outdir.
     res = run_cli(
         ["sweep", "--model", "ou", "--lambdas", "1", "--mus", "1", "--t-end", "1",
          "--steps", "8", "--seed", "1", "--outdir", "o", *flags],
@@ -419,6 +421,29 @@ def test_simulate_overflowing_step_scale_is_an_error_line(tmp_path):
     assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
     assert "dt=" in res.stderr and "alpha=0.5" in res.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_refuses_an_overflowing_step_scale_at_zero_mu(tmp_path):
+    # mu = 0 draws no stable noise, but the step is refused as at mu = 1.
+    res = run_cli(
+        ["simulate", "--model", "ou", "--alpha", "0.5", "--lambda", "1", "--mu", "0",
+         "--t-end", "1e300", "--steps", "4", "--seed", "1", "--out", "z.csv"],
+        tmp_path,
+    )
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert res.stderr == "error: dt**(1/alpha) overflows float64 for dt=2.5e+299, alpha=0.5\n"
+    assert not (tmp_path / "z.csv").exists()
+
+
+def test_simulate_without_jumps_accepts_a_step_whose_scale_would_overflow(tmp_path):
+    # --no-jumps draws no stable noise, so dt**(1/alpha) is never formed.
+    res = run_cli(
+        ["simulate", "--model", "glm", "--no-jumps", "--alpha", "0.5", "--lambda", "1",
+         "--mu", "1", "--t-end", "1e300", "--steps", "4", "--seed", "1", "--out", "g.csv"],
+        tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert len(read_csv_rows(tmp_path / "g.csv")) == 1 + 5
 
 
 def test_rng_small_alpha_prints_no_nan(tmp_path):

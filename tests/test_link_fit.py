@@ -348,3 +348,14 @@ def test_collect_rows_checks_every_input_before_simulating(monkeypatch, triples,
         collect_rows(triples, "ou", GridSpec(1.0, 1024), threshold, RngStream(1))
     assert str(info.value) == message
     assert calls == []
+
+
+def test_collect_rows_checks_every_step_scale_before_simulating(monkeypatch):
+    # dt = 1.25e299: the first triple's dt**(1/1.5) fits a float64, the second's dt**100 does not.
+    calls = []
+    monkeypatch.setattr(link_fit, "simulate", lambda *a: calls.append(a))
+    with pytest.raises(ValueError) as info:
+        collect_rows([(1.0, 1.0, 1.5), (1.0, 1.0, 0.01)], "ou", GridSpec(1e300, 8), 10.0,
+                     RngStream(1))
+    assert str(info.value) == "dt**(1/alpha) overflows float64 for dt=1.25e+299, alpha=0.01"
+    assert calls == []

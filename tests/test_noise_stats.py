@@ -115,6 +115,12 @@ def test_increments_refuse_an_overflowing_step_scale_before_drawing():
     assert stream.uniforms(1)[0] == RngStream(53).uniforms(1)[0]
 
 
+def test_increments_refuse_an_overflowing_step_at_zero_scale():
+    # Zero scale draws nothing, but the step is checked all the same.
+    with pytest.raises(ValueError, match=r"^dt\*\*\(1/alpha\) overflows float64 for dt=2\.5e\+299"):
+        increments(StableParams(0.5), 0.0, 2.5e299, RngStream(53), 4)
+
+
 def test_increments_overflow_silently():
     # dt**(1/alpha) = 2**1000: large finite draws overflow to +-inf.
     got = increments(StableParams(0.001), 1.0, 2.0, RngStream(59), 1000)

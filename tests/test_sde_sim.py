@@ -180,6 +180,15 @@ def test_glm_noise_free_reaches_exponential_growth():
     assert abs(traj.values[-1] - want) / want < 2e-3
 
 
+def test_glm_at_zero_mu_is_finite_where_every_stable_draw_overflows():
+    # mu = 0 makes the GLM deterministic: X[k] = (1 + lam*dt)**k = 2**k exactly,
+    # although at alpha = 0.005 most unit-scale stable draws are infinite.
+    grid = GridSpec(t_end=64.0, n_steps=64)
+    traj = simulate(glm_model(lam=1.0, mu=0.0, alpha=0.005), grid, RngStream(1))
+    assert traj.values.tolist() == [2.0**k for k in range(65)]
+    assert not traj.overflowed
+
+
 def test_ou_noise_free_recursion_is_exact():
     grid = GridSpec(t_end=1.0, n_steps=64)
     traj = simulate(ou_model(lam=2.0, mu=0.0, x0=3.0), grid, RngStream(53))
