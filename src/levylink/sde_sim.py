@@ -15,8 +15,8 @@ its order, so a path is bit-identical to stepping it one value at a time.
 
 Each ``ModelSpec`` builds the law of S once, for all its paths.  Noise is
 drawn up front per path: OU consumes n jump increments; GLM consumes n
-Brownian normals first, then n unit-scale jump increments (none when jumps
-are suppressed).  Heavy tails make float overflow a legitimate outcome:
+Brownian normals first, then n unit-scale jump increments (none at mu = 0
+or without jumps).  Heavy tails make float overflow a legitimate outcome:
 non-finite values are propagated unclamped and flagged on the trajectory.
 """
 from __future__ import annotations

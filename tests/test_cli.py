@@ -423,18 +423,6 @@ def test_simulate_overflowing_step_scale_is_an_error_line(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_simulate_refuses_an_overflowing_step_scale_at_zero_mu(tmp_path):
-    # mu = 0 draws no stable noise, but the step is refused as at mu = 1.
-    res = run_cli(
-        ["simulate", "--model", "ou", "--alpha", "0.5", "--lambda", "1", "--mu", "0",
-         "--t-end", "1e300", "--steps", "4", "--seed", "1", "--out", "z.csv"],
-        tmp_path,
-    )
-    assert res.returncode == 1, res.stdout + res.stderr
-    assert res.stderr == "error: dt**(1/alpha) overflows float64 for dt=2.5e+299, alpha=0.5\n"
-    assert not (tmp_path / "z.csv").exists()
-
-
 def test_simulate_without_jumps_accepts_a_step_whose_scale_would_overflow(tmp_path):
     # --no-jumps draws no stable noise, so dt**(1/alpha) is never formed.
     res = run_cli(
@@ -701,6 +689,10 @@ ERROR_LINES = {
     "step_scale": (["simulate", "--alpha", "0.01", "--lambda", "1", *SIM_FLAGS,
                     "--t-end", "1e300"],
                    "dt**(1/alpha) overflows float64 for dt=1.25e+299, alpha=0.01"),
+    # mu = 0 draws no stable noise, but the step is refused as at mu = 1.
+    "step_scale_zero_mu": (["simulate", "--alpha", "0.5", "--lambda", "1", *SIM_FLAGS,
+                            "--mu", "0", "--t-end", "1e300", "--steps", "4"],
+                           "dt**(1/alpha) overflows float64 for dt=2.5e+299, alpha=0.5"),
     "sweep_alpha": (["sweep", "--model", "ou", "--alphas", "1.5,3", "--lambdas", "1",
                      "--mus", "1", "--t-end", "1", "--steps", "8", "--seed", "1",
                      "--outdir", "d"],

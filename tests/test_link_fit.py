@@ -333,29 +333,22 @@ def test_collect_rows_rejects_empty_grid():
 
 
 @pytest.mark.parametrize(
-    "triples, threshold, message",
+    "triples, t_end, threshold, message",
     [
-        ([(1.0, 0.5, 1.5)] * 3, -1.0, "threshold_factor=-1.0 must be a positive real"),
-        ([(1.0, 0.5, 1.5), (1.0, 0.5, 3.0)], 10.0, "alpha=3.0 must lie in the interval (0, 2]"),
+        ([(1.0, 0.5, 1.5)] * 3, 1.0, -1.0, "threshold_factor=-1.0 must be a positive real"),
+        ([(1.0, 0.5, 1.5), (1.0, 0.5, 3.0)], 1.0, 10.0,
+         "alpha=3.0 must lie in the interval (0, 2]"),
+        # dt = 9.8e296: dt**(1/1.5) fits a float64, the second triple's dt**100 does not.
+        ([(1.0, 1.0, 1.5), (1.0, 1.0, 0.01)], 1e300, 10.0,
+         "dt**(1/alpha) overflows float64 for dt=9.765625e+296, alpha=0.01"),
     ],
-    ids=["threshold", "second_alpha"],
+    ids=["threshold", "second_alpha", "second_step_scale"],
 )
-def test_collect_rows_checks_every_input_before_simulating(monkeypatch, triples, threshold,
-                                                            message):
+def test_collect_rows_checks_every_input_before_simulating(monkeypatch, triples, t_end,
+                                                            threshold, message):
     calls = []
     monkeypatch.setattr(link_fit, "simulate", lambda *a: calls.append(a))
     with pytest.raises(ValueError) as info:
-        collect_rows(triples, "ou", GridSpec(1.0, 1024), threshold, RngStream(1))
+        collect_rows(triples, "ou", GridSpec(t_end, 1024), threshold, RngStream(1))
     assert str(info.value) == message
-    assert calls == []
-
-
-def test_collect_rows_checks_every_step_scale_before_simulating(monkeypatch):
-    # dt = 1.25e299: the first triple's dt**(1/1.5) fits a float64, the second's dt**100 does not.
-    calls = []
-    monkeypatch.setattr(link_fit, "simulate", lambda *a: calls.append(a))
-    with pytest.raises(ValueError) as info:
-        collect_rows([(1.0, 1.0, 1.5), (1.0, 1.0, 0.01)], "ou", GridSpec(1e300, 8), 10.0,
-                     RngStream(1))
-    assert str(info.value) == "dt**(1/alpha) overflows float64 for dt=1.25e+299, alpha=0.01"
     assert calls == []
