@@ -144,20 +144,19 @@ def collect_rows(
     grid: GridSpec,
     threshold_factor: float,
     stream: RngStream,
-    x0: float = 1.0,
 ) -> CollectResult:
     """One SampleRow per (lambda, mu, alpha) triple whose path shows a jump.
 
-    Every triple, its step scale dt**(1/alpha) and ``threshold_factor`` are
-    checked before the first path is simulated; triple i simulates on the
-    substream ``stream_id + i``.
+    Every path starts at x0 = 1.0.  Every triple, its step scale
+    dt**(1/alpha) and ``threshold_factor`` are checked before the first
+    path is simulated; triple i simulates on the substream ``stream_id + i``.
     Triples with no qualifying jump, and the rare paths whose first jump
     lands on a non-finite value, go to the exclusion list instead.
     """
     triples = list(param_grid)
     if not triples:
         raise ValueError("parameter grid must be nonempty")
-    models = [ModelSpec(model_kind, lam, mu, alpha, x0) for lam, mu, alpha in triples]
+    models = [ModelSpec(model_kind, lam, mu, alpha, 1.0) for lam, mu, alpha in triples]
     for model in models:
         _power(grid.dt, model.alpha, "dt")
     positive_real(threshold_factor, "threshold_factor")

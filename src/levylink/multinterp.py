@@ -20,7 +20,6 @@ monomials evaluate correctly at the origin.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -58,17 +57,12 @@ def enumerate_exponents(n: int, m: int) -> list[tuple[int, ...]]:
         raise ValueError(f"degree n={n} must be non-negative")
     if m < 1:
         raise ValueError(f"variable count m={m} must be positive")
-    return list(_exponents(n, m))
-
-
-@functools.lru_cache(maxsize=64)
-def _exponents(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     # Ascending multisets of variable indices; their counts run in descending lex order.
-    return tuple(
+    return [
         tuple(map(c.count, range(m)))
         for grade in range(n + 1)
         for c in itertools.combinations_with_replacement(range(m), grade)
-    )
+    ]
 
 
 def _monomials(points, exponents) -> np.ndarray:

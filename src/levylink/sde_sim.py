@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .noise_stats import increments
+from .noise_stats import _power, increments
 from .stable_rng import StableParams, finite_real, non_negative_real, positive_count, positive_real
 from .streams import RngStream
 
@@ -119,10 +119,12 @@ def simulate(model: ModelSpec, grid: GridSpec, stream: RngStream) -> Trajectory:
 
     Reproducible: identical (model, grid, stream key) give a bit-identical
     trajectory within one build.  Paths are independent across distinct
-    stream ids.  No parameter is checked here: ``model`` and ``grid`` were.
+    stream ids.  With jumps, the step's dt**(1/alpha) is checked before any draw.
     """
     n = grid.n_steps
     dt = grid.dt
+    if model.with_jumps:
+        _power(dt, model.alpha, "dt")
     lam_dt = model.lam * dt
     x0 = float(model.x0)
     breach = None

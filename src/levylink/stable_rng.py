@@ -204,12 +204,7 @@ def _shift(r, params: StableParams):
 
 
 def _in_blocks(n: int, size: int, draw) -> np.ndarray:
-    """``draw(k)`` for consecutive blocks of at most ``size`` of ``n`` items, joined.
-
-    With ``n <= size`` it is ``draw(n)`` itself, uncopied.
-    """
-    if n <= size:
-        return draw(n)
+    """``draw(k)`` for consecutive blocks of at most ``size`` of ``n`` items, in one new array."""
     out = np.empty(n)
     for start in range(0, n, size):
         out[start:start + size] = draw(min(size, n - start))

@@ -19,8 +19,7 @@ class RngStream:
     ``SeedSequence([seed, stream_id])``.
 
     A single stream advances with every draw and must not be shared across
-    concurrent callers.  The generator is built on the first draw, so a
-    stream used only for its ``substream`` calls costs no generator set-up.
+    concurrent callers.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -28,17 +27,12 @@ class RngStream:
         self.seed, self.stream_id = operator.index(seed), operator.index(stream_id)
         if self.seed < 0 or self.stream_id < 0:
             raise ValueError("seed and stream_id must be non-negative")
-        self._gen = None
+        self._gen = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id]))
+        )
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-    def _generator(self) -> np.random.Generator:
-        if self._gen is None:
-            self._gen = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id]))
-            )
-        return self._gen
 
     def substream(self, offset: int) -> "RngStream":
         """Fresh independent stream with ``stream_id`` shifted by ``offset``."""
@@ -53,8 +47,8 @@ class RngStream:
         fills match repeated scalar draws, so consumers may batch draws
         without changing the stream schedule.
         """
-        return np.maximum(self._generator().random(n), _OPEN_LOW)
+        return np.maximum(self._gen.random(n), _OPEN_LOW)
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normal draws."""
-        return self._generator().standard_normal(n)
+        return self._gen.standard_normal(n)

@@ -149,6 +149,19 @@ def test_self_similarity_endpoints_have_the_bytes_of_one_pass(name, monkeypatch)
     assert got_stream.uniforms(2).tobytes() == want_stream.uniforms(2).tobytes()
 
 
+def test_self_similarity_asks_for_at_most_one_block_of_increments(monkeypatch):
+    # 2,000 paths of 32 steps: 64,000 increments per horizon, in whole-path blocks.
+    sizes = []
+    real_increments = noise_stats.increments
+    monkeypatch.setattr(
+        noise_stats, "increments",
+        lambda law, scale, dt, stream, n: sizes.append(n) or real_increments(law, scale, dt, stream, n),
+    )
+    noise_stats.self_similarity_check(1.5, 2.0, 1.0, 2000, 32, RngStream(4))
+    assert sum(sizes) == 2 * 2000 * 32
+    assert max(sizes) <= B
+
+
 def peak_traced_bytes(fn):
     """Peak bytes that ``tracemalloc`` sees allocated while ``fn`` runs, and its result."""
     tracemalloc.start()

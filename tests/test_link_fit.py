@@ -104,6 +104,8 @@ def test_sample_row_validation():
         SampleRow(lam=1.0, mu=1.0, alpha=1.5, t=-0.1, x=0.0)
     with pytest.raises(ValueError):
         SampleRow(lam=math.inf, mu=1.0, alpha=1.5, t=0.1, x=0.0)
+    # A jump at the first grid time is a valid record.
+    assert SampleRow(lam=1.0, mu=1.0, alpha=1.5, t=0.0, x=0.0).t == 0.0
 
 
 # ------------------------------------------------------------- jump detection

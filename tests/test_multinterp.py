@@ -112,6 +112,10 @@ def test_determinant_repeated_row_is_zero():
     assert determinant(m) == 0.0
 
 
+def test_determinant_of_a_subnormal_pivot_is_that_pivot():
+    assert determinant([[5e-324]]) == 5e-324
+
+
 def test_determinant_vandermonde_product():
     m = fit([[1.0], [2.0], [3.0]], [0.0, 0.0, 0.0], 2, 1).matrix
     assert determinant(m) == pytest.approx((2 - 1) * (3 - 1) * (3 - 2), rel=1e-14)

@@ -17,6 +17,7 @@ from levylink.noise_stats import (
     increments,
     self_similarity_check,
 )
+from levylink.sde_sim import GridSpec, ModelSpec, simulate
 from levylink.stable_rng import StableParams, sample_n
 from levylink.streams import RngStream
 
@@ -113,6 +114,14 @@ def test_increments_refuse_an_overflowing_step_scale_before_drawing():
     with pytest.raises(ValueError, match=r"dt=2\.5e\+299.*alpha=0\.5"):
         increments(StableParams(0.5), 1.0, 2.5e299, stream, 4)
     assert stream.uniforms(1)[0] == RngStream(53).uniforms(1)[0]
+
+
+def test_glm_simulate_refuses_an_overflowing_step_scale_before_drawing():
+    # The GLM draws its Brownian normals first; the jump step must be refused before them.
+    stream = RngStream(1)
+    with pytest.raises(ValueError, match=r"^dt\*\*\(1/alpha\) overflows float64 for dt=2\.5e\+299"):
+        simulate(ModelSpec("glm", 1.0, 1.0, 0.5, 1.0), GridSpec(1e300, 4), stream)
+    assert stream.normals(1)[0] == RngStream(1).normals(1)[0]
 
 
 def test_increments_refuse_an_overflowing_step_at_zero_scale():

@@ -1,5 +1,6 @@
 """Stable variate generator: validation, branch kernels, shift rules, distribution."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -411,6 +412,12 @@ def test_substream_of_undrawn_base_keeps_the_seed_schedule():
         assert sub.uniforms(6).tobytes() == want_u.tobytes()
         assert sub.normals(6).tobytes() == want_n.tobytes()
     assert base.normals(3).tobytes() == eager(11, 5).standard_normal(3).tobytes()
+
+
+def test_uniforms_clamp_an_exact_zero_to_the_smallest_53_bit_value(monkeypatch):
+    stream = RngStream(1)
+    monkeypatch.setattr(stream, "_gen", SimpleNamespace(random=np.zeros))
+    assert stream.uniforms(3).tolist() == [2.0 ** -53] * 3
 
 
 def test_stream_accepts_numpy_integer_keys():

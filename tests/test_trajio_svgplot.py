@@ -222,6 +222,19 @@ def test_failed_write_leaves_no_file(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_write_never_reuses_an_existing_temporary_name(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    taken = tmp_path / f"out.csv.{bytes(8).hex()}.tmp~"
+    taken.write_text("someone else's\n")
+    with pytest.raises(OSError) as info:
+        atomic_write_text(str(path), "new\n")
+    assert info.value.filename == str(path)
+    assert path.read_text() == "old\n"
+    assert taken.read_text() == "someone else's\n"
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_written_file_mode_follows_umask(tmp_path, umask):
     path = tmp_path / "out.csv"
