@@ -40,31 +40,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="levylink", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="simulate sample paths and write CSV/SVG")
-    sim.add_argument("--model", choices=_MODEL_CHOICES, required=True)
+    # The run flags of simulate and sweep, which both feed sde_sim._plan.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--model", choices=_MODEL_CHOICES, required=True)
+    run.add_argument("--x0", type=float, default=1.0)
+    run.add_argument("--t-end", type=float, required=True)
+    run.add_argument("--steps", type=int, required=True)
+    run.add_argument("--paths", type=int, default=1)
+    run.add_argument("--seed", type=int, required=True)
+
+    sim = sub.add_parser("simulate", parents=[run], help="simulate sample paths and write CSV/SVG")
     sim.add_argument("--alpha", type=float, required=True)
     sim.add_argument("--lambda", dest="lam", type=float, required=True)
     sim.add_argument("--mu", type=float, required=True)
-    sim.add_argument("--x0", type=float, default=1.0)
-    sim.add_argument("--t-end", type=float, required=True)
-    sim.add_argument("--steps", type=int, required=True)
-    sim.add_argument("--paths", type=int, default=1)
-    sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--no-jumps", action="store_true", help="suppress the GLM jump stream")
     sim.add_argument("--out", required=True, help="trajectory CSV path")
     sim.add_argument("--svg", default=None, help="optional SVG plot path")
     sim.set_defaults(func=cmd_simulate)
 
-    sweep = sub.add_parser("sweep", help="simulate one file per (lambda, mu, alpha) combination")
-    sweep.add_argument("--model", choices=_MODEL_CHOICES, required=True)
+    sweep = sub.add_parser(
+        "sweep", parents=[run], help="simulate one file per (lambda, mu, alpha) combination"
+    )
     sweep.add_argument("--alphas", type=_float_list, required=True)
     sweep.add_argument("--lambdas", type=_float_list, required=True)
     sweep.add_argument("--mus", type=_float_list, required=True)
-    sweep.add_argument("--x0", type=float, default=1.0)
-    sweep.add_argument("--t-end", type=float, required=True)
-    sweep.add_argument("--steps", type=int, required=True)
-    sweep.add_argument("--paths", type=int, default=1)
-    sweep.add_argument("--seed", type=int, required=True)
     sweep.add_argument("--outdir", required=True)
     sweep.add_argument("--svg", action="store_true", help="also write an SVG per combination")
     sweep.set_defaults(func=cmd_sweep)
@@ -104,39 +103,28 @@ def _refuse_same_file(path, other, names):
 
 
 def _write_combinations(args, combos, outputs, outdir):
-    """Simulate ``--paths`` paths per (lam, mu, alpha) of ``combos`` and write each one's files.
+    """Simulate each (lam, mu, alpha) of ``combos`` on its ``sde_sim._plan`` streams and write it.
 
     ``outputs`` pairs each combination with its CSV path and its SVG path or
-    None.  Every input, and each jump model's step scale dt**(1/alpha), is
-    checked before ``outdir`` (None: make no directory) is made or a file
-    written.  Path p of combination i draws on substream i * paths + p of
-    ``--seed``, so ``simulate`` is combination 0 of a sweep.
+    None.  Every input is checked before ``outdir`` (None: make no directory)
+    is made or a file written; ``simulate`` is combination 0 of a sweep.
     """
-    from .noise_stats import _power
-    from .sde_sim import GridSpec, ModelSpec, simulate
-    from .stable_rng import positive_count
+    from .sde_sim import GridSpec, _plan, simulate
     from .streams import RngStream
     from .svgplot import render_paths_svg
     from .trajio import atomic_write_text, trajectories_to_csv
 
-    positive_count(args.paths, "paths")
-    jumps = not getattr(args, "no_jumps", False)
-    models = [
-        ModelSpec(kind=args.model, lam=lam, mu=mu, alpha=alpha, x0=args.x0, with_jumps=jumps)
-        for lam, mu, alpha in combos
-    ]
     grid = GridSpec(t_end=args.t_end, n_steps=args.steps)
+    jumps = not getattr(args, "no_jumps", False)
+    plan = _plan(combos, args.model, grid, args.paths, args.x0, jumps)
     base = RngStream(args.seed)
     names = "--svg {} and --out {}" if outdir is None else "--outdir files {} and {}"
-    for model, (csv_path, svg_path) in zip(models, outputs):
-        if model.with_jumps:  # without jumps no stable draw is scaled
-            _power(grid.dt, model.alpha, "dt")
+    for csv_path, svg_path in outputs:
         _refuse_same_file(svg_path, csv_path, names)
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
-    for i, (model, (csv_path, svg_path)) in enumerate(zip(models, outputs)):
-        streams = [base.substream(i * args.paths + p) for p in range(args.paths)]
-        trajectories = [simulate(model, grid, stream) for stream in streams]
+    for (model, offsets), (csv_path, svg_path) in zip(plan, outputs):
+        trajectories = [simulate(model, grid, base.substream(k)) for k in offsets]
         atomic_write_text(csv_path, trajectories_to_csv(trajectories))
         if svg_path:
             curves = [(t.times, t.values) for t in trajectories]

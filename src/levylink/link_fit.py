@@ -19,8 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import multinterp
-from .noise_stats import _power
-from .sde_sim import GridSpec, ModelKind, ModelSpec, Trajectory, simulate
+from .sde_sim import GridSpec, ModelKind, Trajectory, _plan, simulate
 from .stable_rng import StableParams, finite_real, positive_real
 from .streams import RngStream
 
@@ -156,14 +155,12 @@ def collect_rows(
     triples = list(param_grid)
     if not triples:
         raise ValueError("parameter grid must be nonempty")
-    models = [ModelSpec(model_kind, lam, mu, alpha, 1.0) for lam, mu, alpha in triples]
-    for model in models:
-        _power(grid.dt, model.alpha, "dt")
+    plan = _plan(triples, model_kind, grid, 1, 1.0, True)
     positive_real(threshold_factor, "threshold_factor")
     rows: list[SampleRow] = []
     excluded: list[tuple[float, float, float]] = []
-    for i, (model, (lam, mu, alpha)) in enumerate(zip(models, triples)):
-        traj = simulate(model, grid, stream.substream(i))
+    for (lam, mu, alpha), (model, (offset,)) in zip(triples, plan):
+        traj = simulate(model, grid, stream.substream(offset))
         hit = detect_first_jump(traj, threshold_factor)
         if hit is None or not math.isfinite(hit[1]):
             excluded.append((lam, mu, alpha))

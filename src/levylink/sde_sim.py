@@ -114,6 +114,21 @@ class Trajectory:
     factor_breach_step: int | None
 
 
+def _plan(triples, kind, grid: GridSpec, paths: int, x0: float, with_jumps: bool):
+    """Each (lam, mu, alpha) triple's ``ModelSpec`` and its paths' substream offsets.
+
+    Checks ``paths``, builds every model and checks each jump model's step
+    dt**(1/alpha) before it returns; nothing is drawn or written.  Path p of
+    triple i draws on offset i * paths + p of the caller's stream.
+    """
+    positive_count(paths, "paths")
+    models = [ModelSpec(kind, lam, mu, alpha, x0, with_jumps) for lam, mu, alpha in triples]
+    for model in models:
+        if model.with_jumps:  # without jumps no stable draw is scaled
+            _power(grid.dt, model.alpha, "dt")
+    return [(model, range(i * paths, (i + 1) * paths)) for i, model in enumerate(models)]
+
+
 def simulate(model: ModelSpec, grid: GridSpec, stream: RngStream) -> Trajectory:
     """Run the explicit Euler scheme for ``model`` on ``grid``.
 
