@@ -8,6 +8,7 @@ the same flags and seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import os
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--mus", type=_float_list, required=True)
     sweep.add_argument("--outdir", required=True)
     sweep.add_argument("--svg", action="store_true", help="also write an SVG per combination")
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(func=cmd_sweep, no_jumps=False)
 
     fit = sub.add_parser("fit-link", help="fit the linear link from a 5-row CSV")
     fit.add_argument("--input", required=True, help="CSV with header lambda,mu,alpha,t,x")
@@ -105,8 +106,8 @@ def _refuse_same_file(path, other, names):
 def _write_combinations(args, combos, outputs, outdir):
     """Simulate each (lam, mu, alpha) of ``combos`` on its ``sde_sim._plan`` streams and write it.
 
-    ``outputs`` pairs each combination with its CSV path and its SVG path or
-    None.  Every input is checked before ``outdir`` (None: make no directory)
+    ``outputs`` pairs each combination with its CSV path and SVG path or None.
+    Every input and output path is checked before ``outdir`` (None: make none)
     is made or a file written; ``simulate`` is combination 0 of a sweep.
     """
     from .sde_sim import GridSpec, _plan, simulate
@@ -115,12 +116,19 @@ def _write_combinations(args, combos, outputs, outdir):
     from .trajio import atomic_write_text, trajectories_to_csv
 
     grid = GridSpec(t_end=args.t_end, n_steps=args.steps)
-    jumps = not getattr(args, "no_jumps", False)
-    plan = _plan(combos, args.model, grid, args.paths, args.x0, jumps)
+    plan = _plan(combos, args.model, grid, args.paths, args.x0, not args.no_jumps)
     base = RngStream(args.seed)
     names = "--svg {} and --out {}" if outdir is None else "--outdir files {} and {}"
     for csv_path, svg_path in outputs:
         _refuse_same_file(svg_path, csv_path, names)
+        for path in filter(None, (csv_path, svg_path)):  # the OSError its write would raise
+            try:
+                if outdir is None:  # sweep makes --outdir after this check
+                    os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+                if os.path.isdir(path) and not os.path.islink(path):  # a write replaces a link
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
     for (model, offsets), (csv_path, svg_path) in zip(plan, outputs):

@@ -778,6 +778,49 @@ def test_sweep_refuses_an_svg_that_is_its_csv_before_writing(tmp_path):
     assert [p.name for p in (tmp_path / "d").iterdir()] == ["ou_l1_m1_a1p5.svg"]
 
 
+SWEEP_FLAGS = ["sweep", "--model", "ou", "--lambdas", "1", "--mus", "1", "--t-end", "1",
+               "--steps", "8", "--seed", "1"]
+# (argv, directories and files made first, the error the first failing write raises)
+UNWRITABLE = {
+    "simulate_svg_in_no_dir": (
+        ["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS[:-1], "ok.csv",
+         "--svg", os.path.join("nodir", "p.svg")],
+        [], [], "[Errno 2] No such file or directory: {!r}".format(os.path.join("nodir", "p.svg"))),
+    "simulate_svg_under_a_file": (
+        ["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS[:-1], "ok.csv",
+         "--svg", os.path.join("f", "p.svg")],
+        [], ["f"], "[Errno 20] Not a directory: {!r}".format(os.path.join("f", "p.svg"))),
+    "simulate_svg_is_a_directory": (
+        ["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS[:-1], "ok.csv", "--svg", "d"],
+        ["d"], [], "[Errno 21] Is a directory: 'd'"),
+    "sweep_later_csv_is_a_directory": (
+        [*SWEEP_FLAGS, "--alphas", "1.5,1.2", "--outdir", "d"],
+        [os.path.join("d", "ou_l1_m1_a1p2.csv")], [],
+        "[Errno 21] Is a directory: {!r}".format(os.path.join("d", "ou_l1_m1_a1p2.csv"))),
+    "sweep_svg_is_a_directory": (
+        [*SWEEP_FLAGS, "--alphas", "1.5", "--outdir", "f", "--svg"],
+        [os.path.join("f", "ou_l1_m1_a1p5.svg")], [],
+        "[Errno 21] Is a directory: {!r}".format(os.path.join("f", "ou_l1_m1_a1p5.svg"))),
+}
+
+
+def file_tree(root):
+    return sorted((p.relative_to(root).as_posix(), p.is_dir()) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("case", list(UNWRITABLE))
+def test_an_output_the_write_would_refuse_is_refused_before_any_write(tmp_path, case):
+    argv, dirs, files, line = UNWRITABLE[case]
+    for d in dirs:
+        (tmp_path / d).mkdir(parents=True)
+    for f in files:
+        (tmp_path / f).write_text("keep\n")
+    before = file_tree(tmp_path)
+    assert run_in_process(argv, tmp_path) == (1, "", f"error: {line}\n")
+    assert file_tree(tmp_path) == before
+    assert [(tmp_path / f).read_text() for f in files] == ["keep\n"] * len(files)
+
+
 def test_rng_and_selfsim_load_only_the_modules_they_call(tmp_path):
     script = """
 import sys
