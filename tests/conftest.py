@@ -5,6 +5,9 @@ The CLI tests start their children with ``cwd=tmp_path``. A relative
 ``levylink`` would be tested in place of this tree. So the directory that
 holds the package this process imported goes first on the children's
 ``PYTHONPATH`` for the whole session.
+
+The report header names the platform fingerprint that the golden bytes
+are keyed by, so a log shows which constant set a run compared against.
 """
 import os
 from pathlib import Path
@@ -12,6 +15,21 @@ from pathlib import Path
 import pytest
 
 import levylink
+from platform_key import fingerprint
+
+
+def platform_line():
+    numpy, machine, x86_v4 = fingerprint()
+    return f"levylink platform: numpy {numpy}, {machine}, X86_V4 (AVX-512) loops {x86_v4}"
+
+
+def pytest_report_header(config):
+    return platform_line()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.get_verbosity() < 0:  # -q leaves out the report header
+        terminalreporter.write_line(platform_line())
 
 
 @pytest.fixture(scope="session", autouse=True)

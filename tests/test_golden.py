@@ -1,4 +1,4 @@
-"""Output bytes pinned across builds.
+"""Output bytes pinned on one numpy build and one SIMD target.
 
 Criterion 8 and the CLI rerun tests compare two runs of one build.  This
 file compares the build under test with the one that wrote the constants
@@ -8,17 +8,21 @@ written here rather than parsed from the README, so README edits do not
 move it, and the sizes are small so the whole file runs in well under 2 s.
 
 A digest moves when any output byte moves, for example when a command
-draws from another ``(seed, stream_id)`` substream.
+draws from another ``(seed, stream_id)`` substream.  It also moves with the
+platform: numpy's AVX-512 loops round some transcendental results
+differently from its AVX2 and baseline loops (``platform_key``).  So the
+digests are keyed by the fingerprint (numpy version, machine, AVX-512 loops
+live), and a platform with no constant set fails with a message naming it.
 """
 import hashlib
 
-import numpy as np
 import pytest
 
 from levylink import cli
 from levylink.link_fit import collect_rows, fit_link
 from levylink.sde_sim import GridSpec, ModelKind
 from levylink.streams import RngStream
+from platform_key import fingerprint
 
 LINK_ROWS = """\
 lambda,mu,alpha,t,x
@@ -126,6 +130,25 @@ GOLDEN = {
     ),
 }
 
+# The digests above are numpy 2.4.6's on x86-64 with its AVX-512 loops live.
+# Its AVX2 and baseline loops give the same bytes as each other, and these
+# seven digests differ; the collect_rows + fit_link floats below agree.
+AVX512_DIGESTS = {name: digest for name, (_, digest) in GOLDEN.items()}
+DIGESTS = {
+    ("2.4.6", "x86_64", True): AVX512_DIGESTS,
+    ("2.4.6", "x86_64", False): {
+        **AVX512_DIGESTS,
+        "sweep": "fccc998ca64bf6a6b23a3957d2ea9eb885142f352af19f58167970052a310238",
+        "rng-symmetric": "bebc8964fb9531c299c7064bf8dc3132d57089ec0bb5834db8dc0941ed99af34",
+        "rng-skewed": "1cde616c9bb55602886cb3d355a38b6bf38fcd6ed480dab3de6b041ef4278fe7",
+        "rng-symmetric-blocks": "b634e18f39c80db3fd3a0adaf25436cac70c1053ad2fe3121acc608e054a48fd",
+        "rng-skewed-blocks": "460a926adc9c307174ecedb683f7ed94db499ebf282217a3be6589de5f350d82",
+        "rng-cauchy-blocks": "fb4851c49ed06633d153476a39c9c535647e5aa303c23596825a9c09fe73342f",
+        "rng-unit-index-blocks":
+            "6fddf54cc1b6ff257e3594dd1edc408e4e05895e7c6342e4b264a149fb8b08a6",
+    },
+}
+
 # collect_rows over five OU triples, then fit_link: each float as float.hex.
 LINK_TRIPLES = [
     (1.0, 0.25, 1.0), (1.0, 1.0, 1.75), (1.0, 2.0, 0.75), (3.0, 0.25, 0.5), (5.0, 0.5, 1.25),
@@ -151,9 +174,20 @@ GOLDEN_LINK = {
 }
 
 
+def pinned_digests():
+    """The command digests of this platform; a failure naming it when none are pinned."""
+    key = fingerprint()
+    if key not in DIGESTS:
+        pytest.fail(
+            f"no golden constants for the platform {key!r} (numpy version, machine, "
+            "AVX-512 loops live): compute a set on it and add it to DIGESTS"
+        )
+    return DIGESTS[key]
+
+
 def moved(what, got, want):
     return (
-        f"{what}: got {got!r}, pinned {want!r} (numpy {np.__version__}). If the "
+        f"{what}: got {got!r}, pinned {want!r} (platform {fingerprint()!r}). If the "
         "(seed, stream_id) schedule changed on purpose, update the constant and "
         "say so in CHANGES.md; otherwise the change altered output bytes."
     )
@@ -170,7 +204,7 @@ def output_digest(tmp_path, stdout):
 
 @pytest.mark.parametrize("name", GOLDEN)
 def test_command_output_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
-    argv, want = GOLDEN[name]
+    argv, want = GOLDEN[name][0], pinned_digests()[name]
     (tmp_path / "link_rows.csv").write_text(LINK_ROWS)
     monkeypatch.chdir(tmp_path)
     code = cli.main(argv)
@@ -181,6 +215,7 @@ def test_command_output_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
 
 
 def test_link_group_floats_are_pinned():
+    pinned_digests()  # the same floats on every known platform; none elsewhere
     result = collect_rows(
         LINK_TRIPLES, ModelKind.OU, GridSpec(t_end=1.0, n_steps=128), 10.0, RngStream(11)
     )
