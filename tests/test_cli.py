@@ -821,6 +821,31 @@ def test_an_output_the_write_would_refuse_is_refused_before_any_write(tmp_path, 
     assert [(tmp_path / f).read_text() for f in files] == ["keep\n"] * len(files)
 
 
+def test_simulate_replaces_a_link_to_a_directory_as_any_write_replaces_a_link(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "lnk").symlink_to("sub")
+    argv = ["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS, "--svg", "lnk"]
+    assert run_in_process(argv, tmp_path) == (0, "", "")
+    assert not (tmp_path / "lnk").is_symlink()
+    assert (tmp_path / "lnk").read_text().startswith("<?xml")
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
+def test_simulate_with_an_empty_svg_writes_no_plot(tmp_path):
+    argv = ["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS, "--svg", ""]
+    assert run_in_process(argv, tmp_path) == (0, "", "")
+    assert [p.name for p in tmp_path.iterdir()] == ["o.csv"]
+
+
+def test_sweep_reruns_into_its_existing_outdir(tmp_path):
+    argv = [*SWEEP_FLAGS, "--alphas", "1.5", "--outdir", "d", "--svg"]
+    assert run_in_process(argv, tmp_path) == (0, "", "")
+    first = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()}
+    assert run_in_process(argv, tmp_path) == (0, "", "")
+    assert {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()} == first
+    assert sorted(first) == ["ou_l1_m1_a1p5.csv", "ou_l1_m1_a1p5.svg"]
+
+
 def test_rng_and_selfsim_load_only_the_modules_they_call(tmp_path):
     script = """
 import sys

@@ -143,9 +143,10 @@ def test_trajectory_csv_shape():
 
 def test_trajectory_reader_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        read_trajectories_csv(str(path))
+    for header in ("a,b,c", "path_id,t,y"):  # every field counts, not just the first
+        path.write_text(f"{header}\n1,2,3\n")
+        with pytest.raises(ValueError):
+            read_trajectories_csv(str(path))
 
 
 def test_link_rows_round_trip(tmp_path):
@@ -181,8 +182,9 @@ def test_readers_reject_empty_file(tmp_path, reader):
     [
         (read_trajectories_csv, "path_id,t,x\n0,0,1\n0,0\n"),
         (read_link_rows_csv, "lambda,mu,alpha,t,x\n\n1,2,1,0\n"),
+        (read_trajectories_csv, "path_id,t,x\n0,0,1\n0,0.5,1,2\n"),
     ],
-    ids=["trajectory", "link"],
+    ids=["trajectory", "link", "trajectory_long"],
 )
 def test_readers_reject_short_row_naming_its_line(tmp_path, reader, text):
     path = tmp_path / "short.csv"
@@ -235,7 +237,7 @@ def test_write_never_reuses_an_existing_temporary_name(tmp_path, monkeypatch):
     assert taken.read_text() == "someone else's\n"
 
 
-@pytest.mark.parametrize("umask", [0o022, 0o077])
+@pytest.mark.parametrize("umask", [0o002, 0o022, 0o077])
 def test_written_file_mode_follows_umask(tmp_path, umask):
     path = tmp_path / "out.csv"
     old = os.umask(umask)
@@ -286,8 +288,11 @@ def test_svg_handles_degenerate_span():
 
 
 def test_svg_handles_empty_input():
-    svg = render_paths_svg([])
-    ET.fromstring(svg)
+    # With no finite value to bound, both axes span [0, 1].
+    for paths in ([], [(np.array([np.nan]), np.array([np.inf]))]):
+        svg = render_paths_svg(paths)
+        labels = [e.text for e in ET.fromstring(svg).iter() if e.tag.endswith("text")]
+        assert labels == ["t", "X_t", "0", "1", "0", "1"]
 
 
 def test_svg_span_overflow_keeps_points_finite():
