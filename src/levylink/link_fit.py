@@ -155,7 +155,7 @@ def collect_rows(
     triples = list(param_grid)
     if not triples:
         raise ValueError("parameter grid must be nonempty")
-    plan = _plan(triples, model_kind, grid, 1, 1.0, True)
+    plan = _plan(triples, model_kind, grid, paths=1, x0=1.0, with_jumps=True)
     positive_real(threshold_factor, "threshold_factor")
     rows: list[SampleRow] = []
     excluded: list[tuple[float, float, float]] = []
