@@ -8,7 +8,6 @@ the same flags and seed.
 from __future__ import annotations
 
 import argparse
-import errno
 import itertools
 import json
 import os
@@ -113,7 +112,7 @@ def _write_combinations(args, combos, outputs, outdir):
     from .sde_sim import GridSpec, _plan, simulate
     from .streams import RngStream
     from .svgplot import render_paths_svg
-    from .trajio import atomic_write_text, trajectories_to_csv
+    from .trajio import _refuse_unwritable, atomic_write_text, trajectories_to_csv
 
     grid = GridSpec(t_end=args.t_end, n_steps=args.steps)
     plan = _plan(combos, args.model, grid, args.paths, args.x0, not args.no_jumps)
@@ -121,14 +120,8 @@ def _write_combinations(args, combos, outputs, outdir):
     names = "--svg {} and --out {}" if outdir is None else "--outdir files {} and {}"
     for csv_path, svg_path in outputs:
         _refuse_same_file(svg_path, csv_path, names)
-        for path in filter(None, (csv_path, svg_path)):  # the OSError its write would raise
-            try:
-                if outdir is None:  # sweep makes --outdir after this check
-                    os.stat(os.path.join(os.path.dirname(path) or ".", ""))
-                if os.path.isdir(path) and not os.path.islink(path):  # a write replaces a link
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, path) from None
+        if outdir is None or os.path.isdir(outdir):  # a new --outdir holds nothing to check
+            _refuse_unwritable(csv_path, svg_path)
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
     for (model, offsets), (csv_path, svg_path) in zip(plan, outputs):
@@ -175,19 +168,20 @@ def cmd_fit_link(args) -> int:
         "equation": link.equation_text(),
     }
     text = json.dumps(report, indent=2) + "\n"
-    sys.stdout.write(text)
     if args.out:
         atomic_write_text(args.out, text)
+    sys.stdout.write(text)
     return 0
 
 
 def cmd_rng(args) -> int:
     from .stable_rng import StableParams, sample_n
     from .streams import RngStream
-    from .trajio import atomic_write_text
+    from .trajio import _refuse_unwritable, atomic_write_text
 
     stream = RngStream(args.seed)  # a bad seed is reported before bad parameters
     params = StableParams(alpha=args.alpha, beta=args.beta, gamma=args.gamma, delta=args.delta)
+    _refuse_unwritable(args.out)
     draws = sample_n(params, stream, args.n)
     text = ("%.17g\n" * draws.size) % tuple(draws.tolist())
     if args.out:

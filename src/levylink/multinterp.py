@@ -108,17 +108,6 @@ def determinant(matrix) -> float:
     return det
 
 
-def _singular_tolerance(matrix) -> float:
-    """Scale-aware zero threshold for determinants of ``matrix``.
-
-    The determinant of a matrix whose rows are scaled to unit max-norm is
-    O(1), so |det| is compared against 1e-12 times the product of the row
-    max-norms.
-    """
-    a = np.abs(np.asarray(matrix, dtype=float))
-    return 1e-12 * float(np.prod(a.max(axis=1)))
-
-
 @dataclass(frozen=True)
 class Interpolant:
     """Fitted interpolant: monomial basis, node values, solved coefficients.
@@ -139,6 +128,8 @@ def fit(nodes, values, n: int, m: int) -> Interpolant:
     """Interpolate ``values`` at ``nodes`` by a degree-``n`` polynomial in ``m`` variables.
 
     Requires exactly rho = C(n+m, n) nodes, all nodes and values finite.
+    A non-finite sample matrix M or det M, or |det M| at most 1e-12 times
+    the product of M's row max-norms, raises SingularSampleMatrix.
     Coefficients solve the square system M a = f, with one
     iterative-refinement pass; the residual must meet 1e-8 * (1 + max|f|).
     """
@@ -157,14 +148,16 @@ def fit(nodes, values, n: int, m: int) -> Interpolant:
             raise ValueError(f"fit needs finite {name}")
 
     exponents = enumerate_exponents(n, m)
-    matrix = _monomials(nodes, exponents)
-    det_m = determinant(matrix)
-    tol = _singular_tolerance(matrix)
-    if abs(det_m) <= tol:
-        raise SingularSampleMatrix(
-            f"sample matrix determinant {det_m:g} below tolerance {tol:g}; "
-            "choose distinct, non-degenerate nodes"
-        )
+    with np.errstate(all="ignore"):  # an overflowed monomial is a NaN or inf, refused here
+        matrix = _monomials(nodes, exponents)
+        det_m = determinant(matrix)
+        norms = np.abs(matrix).max(axis=1)
+        tol = 1e-12 * float(np.prod(norms))  # may overflow; the test below sums logs
+        if not np.log(1e-12) + np.sum(np.log(norms)) < np.log(abs(det_m)) < np.inf:
+            raise SingularSampleMatrix(
+                f"sample matrix determinant {det_m:g} below tolerance {tol:g}; "
+                "choose distinct, non-degenerate nodes"
+            )
     try:
         coeff = np.linalg.solve(matrix, values)
         coeff += np.linalg.solve(matrix, values - matrix @ coeff)
@@ -172,7 +165,7 @@ def fit(nodes, values, n: int, m: int) -> Interpolant:
         raise SingularSampleMatrix(str(exc)) from exc
     residual = float(np.max(np.abs(matrix @ coeff - values)))
     bound = 1e-8 * (1.0 + float(np.max(np.abs(values))))
-    if residual > bound:
+    if not residual <= bound:  # a NaN residual is refused too
         raise SingularSampleMatrix(
             f"solve residual {residual:g} exceeds {bound:g}; system too ill-conditioned"
         )

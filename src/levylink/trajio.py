@@ -7,6 +7,7 @@ into place so output is either complete or absent.
 from __future__ import annotations
 
 import csv
+import errno
 import os
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -56,6 +57,17 @@ def atomic_write_text(path: str, text: str) -> None:
             raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def _refuse_unwritable(*paths) -> None:
+    """Raise the ``OSError`` a write of each path (None, "" skipped) would give, writing none."""
+    for path in filter(None, paths):
+        try:
+            os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # a missing or file parent
+            if os.path.isdir(path) and not os.path.islink(path):  # the rename replaces a link
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def mangle_value(v: float) -> str:

@@ -8,6 +8,9 @@ holds the package this process imported goes first on the children's
 
 The report header names the platform fingerprint that the golden bytes
 are keyed by, so a log shows which constant set a run compared against.
+Next to it stands the package's line count, the total ``wc -l
+src/levylink/*.py`` prints, so every log records the size of the code it
+tested.
 """
 import os
 from pathlib import Path
@@ -20,7 +23,10 @@ from platform_key import fingerprint
 
 def platform_line():
     numpy, machine, x86_v4 = fingerprint()
-    return f"levylink platform: numpy {numpy}, {machine}, X86_V4 (AVX-512) loops {x86_v4}"
+    modules = Path(levylink.__file__).resolve().parent.glob("*.py")
+    lines = sum(p.read_bytes().count(b"\n") for p in modules)  # as wc -l counts
+    return (f"levylink platform: numpy {numpy}, {machine}, X86_V4 (AVX-512) loops {x86_v4}; "
+            f"src/levylink/*.py {lines} lines")
 
 
 def pytest_report_header(config):

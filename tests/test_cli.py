@@ -165,6 +165,13 @@ def test_sweep_grid_of_24_with_svg(tmp_path):
     assert sum(p.suffix == ".svg" for p in files) == 24
 
 
+def test_list_flags_skip_blank_items():
+    # A trailing or doubled comma is harmless; a list of only blanks is refused.
+    assert cli._float_list("1.5, ,2,,") == [1.5, 2.0]
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli._float_list(" , ")
+
+
 def test_sweep_rejects_empty_alpha_list(tmp_path):
     res = run_cli(
         ["sweep", "--model", "ou", "--alphas", "", "--lambdas", "1", "--mus", "1",
@@ -354,6 +361,41 @@ def test_rng_text_matches_per_value_join(draws):
     assert out.getvalue() == "\n".join(format_real(v) for v in draws) + "\n"
 
 
+def test_rng_out_holds_what_stdout_would_and_prints_nothing(tmp_path):
+    argv = ["rng", "--alpha", "1.5", "--n", "3", "--seed", "1"]
+    code, printed, err = run_in_process(argv, tmp_path)
+    assert (code, err) == (0, "")
+    assert run_in_process([*argv, "--out", "x.txt"], tmp_path) == (0, "", "")
+    assert (tmp_path / "x.txt").read_text() == printed
+
+
+# The commands whose --out is optional and whose output is printed without it.
+OPTIONAL_OUT = {"rng": ["rng", "--alpha", "1.5", "--n", "2", "--seed", "1"],
+                "fit_link": ["fit-link", "--input", "rows.csv"]}
+
+
+@pytest.mark.parametrize("argv", list(OPTIONAL_OUT.values()), ids=list(OPTIONAL_OUT))
+def test_an_empty_out_writes_no_file(tmp_path, argv):
+    # As for simulate's --svg "": the output is printed and nothing is written.
+    (tmp_path / "rows.csv").write_text(LINK_CSV)
+    printed = run_in_process(argv, tmp_path)
+    assert printed[0] == 0 and printed[1]
+    assert run_in_process([*argv, "--out", ""], tmp_path) == printed
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
+@pytest.mark.parametrize("argv", list(OPTIONAL_OUT.values()), ids=list(OPTIONAL_OUT))
+def test_out_replaces_a_link_and_leaves_its_target(tmp_path, argv):
+    # The write renames a finished file over the link; it never writes through it.
+    (tmp_path / "rows.csv").write_text(LINK_CSV)
+    (tmp_path / "keep.txt").write_text("keep\n")
+    (tmp_path / "lnk").symlink_to("keep.txt")
+    code, _, err = run_in_process([*argv, "--out", "lnk"], tmp_path)
+    assert (code, err) == (0, "")
+    assert not (tmp_path / "lnk").is_symlink()
+    assert (tmp_path / "keep.txt").read_text() == "keep\n"
+
+
 def test_rng_rejects_alpha_out_of_range(tmp_path):
     res = run_cli(["rng", "--alpha", "3", "--n", "1", "--seed", "1"], tmp_path)
     assert res.returncode == 1
@@ -459,6 +501,9 @@ def test_rng_small_alpha_prints_no_nan(tmp_path):
         # dt = 2: finite draws times 2**1000 overflow.
         ["simulate", "--model", "ou", "--alpha", "0.001", "--lambda", "1", "--mu", "1",
          "--t-end", "16", "--steps", "8", "--seed", "1", "--out", "o.csv"],
+        # A GLM path from x0 = 0 meets a factor that overflowed to inf: 0 * inf.
+        ["simulate", "--model", "glm", "--alpha", "0.3", "--lambda", "1", "--mu", "1e290",
+         "--x0", "0", "--t-end", "8e6", "--steps", "8", "--seed", "1", "--out", "o.csv"],
     ],
 )
 def test_tiny_alpha_commands_exit_cleanly_without_warnings(tmp_path, monkeypatch, argv):
@@ -634,11 +679,12 @@ def test_cli_contract_holds_for_any_argv(tmp_path_factory, argv):
     (work / "rows.csv").write_text(LINK_CSV)
     (work / "four.csv").write_text(LINK_CSV.rsplit("\n", 2)[0] + "\n")
     (work / "bad.csv").write_text("lambda,mu,alpha,t,x\n1,2,abc\n")
-    code, _, stderr = run_in_process(argv, work)
+    code, stdout, stderr = run_in_process(argv, work)
     assert code in (0, 1, 2), (code, stderr)
     assert "Traceback" not in stderr
     if code == 1:
         assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+        assert stdout == "", stdout
 
 
 # ------------------------------------------------------------ validation sites
@@ -780,7 +826,8 @@ def test_sweep_refuses_an_svg_that_is_its_csv_before_writing(tmp_path):
 
 SWEEP_FLAGS = ["sweep", "--model", "ou", "--lambdas", "1", "--mus", "1", "--t-end", "1",
                "--steps", "8", "--seed", "1"]
-# (argv, directories and files made first, the error the first failing write raises)
+# (argv, directories and files made first, the error the first failing write raises);
+# rows.csv always holds the five link rows.
 UNWRITABLE = {
     "simulate_svg_in_no_dir": (
         ["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS[:-1], "ok.csv",
@@ -801,6 +848,20 @@ UNWRITABLE = {
         [*SWEEP_FLAGS, "--alphas", "1.5", "--outdir", "f", "--svg"],
         [os.path.join("f", "ou_l1_m1_a1p5.svg")], [],
         "[Errno 21] Is a directory: {!r}".format(os.path.join("f", "ou_l1_m1_a1p5.svg"))),
+    # An --outdir that is a file holds no outputs to check; making it refuses.
+    "sweep_outdir_is_a_file": (
+        [*SWEEP_FLAGS, "--alphas", "1.5", "--outdir", "f"], [], ["f"], "[Errno 17] File exists: 'f'"),
+    # fit-link writes its report before it prints it.
+    "fit_link_out_in_no_dir": (
+        ["fit-link", "--input", "rows.csv", "--out", os.path.join("nodir", "r.json")],
+        [], [], "[Errno 2] No such file or directory: {!r}".format(os.path.join("nodir", "r.json"))),
+    "fit_link_out_is_a_directory": (
+        ["fit-link", "--input", "rows.csv", "--out", "d"], ["d"], [], "[Errno 21] Is a directory: 'd'"),
+    # Drawing 10**12 variates would need 7.28 TiB: rng refuses --out before it draws.
+    "rng_out_in_no_dir": (
+        ["rng", "--alpha", "1.5", "--n", "1000000000000", "--seed", "1", "--out",
+         os.path.join("nodir", "x.txt")],
+        [], [], "[Errno 2] No such file or directory: {!r}".format(os.path.join("nodir", "x.txt"))),
 }
 
 
@@ -811,6 +872,7 @@ def file_tree(root):
 @pytest.mark.parametrize("case", list(UNWRITABLE))
 def test_an_output_the_write_would_refuse_is_refused_before_any_write(tmp_path, case):
     argv, dirs, files, line = UNWRITABLE[case]
+    (tmp_path / "rows.csv").write_text(LINK_CSV)
     for d in dirs:
         (tmp_path / d).mkdir(parents=True)
     for f in files:

@@ -1,5 +1,6 @@
 """Multivariate polynomial interpolation: enumeration, matrices, both routes."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -282,12 +283,56 @@ def test_fit_accepts_a_determinant_ten_times_its_tolerance():
     assert interp.coefficients.tolist() == pytest.approx([0.0, 1.0], abs=1e-12)
 
 
+def test_fit_refuses_a_determinant_at_its_tolerance():
+    # Rows (1, 0) and (1, 1e-12): det 1e-12 equals 1e-12 times the unit row norms.
+    with pytest.raises(SingularSampleMatrix, match=r"^sample matrix determinant 1e-12 below"):
+        fit([[0.0], [1e-12]], [0.0, 1e-12], n=1, m=1)
+
+
+# 1e200**2 overflows to inf and the determinant reads NaN, which passed both
+# `abs(det) <= tol` and `residual > bound`; times 0**1 the monomial x**2 * y
+# is NaN itself. A determinant of 1e400 overflows, and the cardinal route
+# would divide by it. Row max-norms of 1e80 multiply to 1e320, past float64;
+# that matrix has condition number 2e80 and is refused as singular, not with
+# a RuntimeWarning from the product.
+OVERFLOWING = {
+    "monomial": ([[1e200], [1.0], [2.0]], 2, 1),
+    "monomial_times_zero": ([[1e200, 0.0], *[[i, i % 3] for i in range(9)]], 3, 2),
+    "determinant": ([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]], 1, 2),
+    "norm_product": ([[1e80, 0, 0], [0, 1e80, 0], [0, 0, 1e80], [1e80, 1e80, 1e80]], 1, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWING))
+def test_fit_refuses_an_overflowing_sample_matrix_without_a_warning(case):
+    nodes, n, m = OVERFLOWING[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSampleMatrix, match=r"^sample matrix determinant .* below"):
+            fit(nodes, np.arange(len(nodes), dtype=float), n=n, m=m)
+
+
+def test_fit_accepts_a_well_scaled_matrix_whose_row_norm_product_overflows():
+    # Row max-norms 1, 1e155 and 1e155 multiply to 1e310, but the rows scaled
+    # to unit max-norm have determinant 1e-6, above 1e-12.
+    nodes = [[0.0, 0.0], [1e155, 0.0], [1e155, 1e149]]
+    interp = fit(nodes, [0.0, 1.0, 2.0], n=1, m=2)
+    assert interp.det_m == pytest.approx(1e304)
+    assert [evaluate_cardinal(interp, x) for x in nodes] == pytest.approx([0.0, 1.0, 2.0])
+
+
 def test_fit_refuses_a_solve_whose_residual_exceeds_its_bound(monkeypatch):
     # Each solve is off by 1e-6, so the refined coefficients are too and the
     # residual reads 2e-6: above 1e-8 * (1 + max|f|) = 3e-8, below 3e-4.
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
     with pytest.raises(SingularSampleMatrix, match=r"^solve residual 2e-06 exceeds 3e-08;"):
+        fit([[0.0], [1.0]], [1.0, 2.0], n=1, m=1)
+
+
+def test_fit_refuses_a_solve_whose_residual_is_nan(monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(len(b), np.nan))
+    with pytest.raises(SingularSampleMatrix, match=r"^solve residual nan exceeds 3e-08;"):
         fit([[0.0], [1.0]], [1.0, 2.0], n=1, m=1)
 
 
