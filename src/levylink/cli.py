@@ -12,7 +12,6 @@ import itertools
 import json
 import os
 import sys
-from collections import Counter
 
 # Only stdlib at module level: each command imports the levylink modules it
 # uses, so --help and usage errors never load numpy.
@@ -96,36 +95,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_same_file(path, other, names):
-    """``ValueError`` when ``path`` is given and resolves to ``other``; ``names`` formats both."""
-    if path and os.path.realpath(path) == os.path.realpath(other):
-        raise ValueError(names.format(repr(path), repr(other)) + " name the same file")
+def _refuse_same_file(paths, names):
+    """``ValueError`` when a given path resolves to an earlier one; ``names`` formats both."""
+    earlier = {}
+    for path in filter(None, paths):
+        real = os.path.realpath(path)
+        if real in earlier:
+            raise ValueError(names.format(repr(path), repr(earlier[real])) + " name the same file")
+        earlier[real] = path
 
 
 def _write_combinations(args, combos, outputs, outdir):
-    """Simulate each (lam, mu, alpha) of ``combos`` on its ``sde_sim._plan`` streams and write it.
+    """Simulate each (lam, mu, alpha) of ``combos`` by the ``sde_sim._plan`` and write it.
 
     ``outputs`` pairs each combination with its CSV path and SVG path or None.
-    Every input and output path is checked before ``outdir`` (None: make none)
-    is made or a file written; ``simulate`` is combination 0 of a sweep.
+    The seed, every input and every output path are checked, in that order,
+    before ``outdir`` (None: make none) is made or a path simulated;
+    ``simulate`` is combination 0 of a sweep.
     """
-    from .sde_sim import GridSpec, _plan, simulate
+    from .sde_sim import GridSpec, _plan
     from .streams import RngStream
     from .svgplot import render_paths_svg
     from .trajio import _refuse_unwritable, atomic_write_text, trajectories_to_csv
 
+    stream = RngStream(args.seed)  # a bad seed is reported before any other input
     grid = GridSpec(t_end=args.t_end, n_steps=args.steps)
-    plan = _plan(combos, args.model, grid, args.paths, args.x0, not args.no_jumps)
-    base = RngStream(args.seed)
+    plan = _plan(combos, args.model, grid, stream, args.paths, args.x0, not args.no_jumps)
+    paths = list(itertools.chain.from_iterable(outputs))
     names = "--svg {} and --out {}" if outdir is None else "--outdir files {} and {}"
-    for csv_path, svg_path in outputs:
-        _refuse_same_file(svg_path, csv_path, names)
-        if outdir is None or os.path.isdir(outdir):  # a new --outdir holds nothing to check
-            _refuse_unwritable(csv_path, svg_path)
+    _refuse_same_file(paths, names)
+    if outdir is None or os.path.isdir(outdir):  # a new --outdir holds nothing to check
+        _refuse_unwritable(*paths)
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
-    for (model, offsets), (csv_path, svg_path) in zip(plan, outputs):
-        trajectories = [simulate(model, grid, base.substream(k)) for k in offsets]
+    for trajectories, (csv_path, svg_path) in zip(plan, outputs):
         atomic_write_text(csv_path, trajectories_to_csv(trajectories))
         if svg_path:
             curves = [(t.times, t.values) for t in trajectories]
@@ -133,7 +136,8 @@ def _write_combinations(args, combos, outputs, outdir):
 
 
 def cmd_simulate(args) -> int:
-    _write_combinations(args, [(args.lam, args.mu, args.alpha)], [(args.out, args.svg)], None)
+    outputs = [(args.out, args.svg or None)]  # --svg "" plots nothing; --out "" is refused
+    _write_combinations(args, [(args.lam, args.mu, args.alpha)], outputs, None)
     return 0
 
 
@@ -141,13 +145,7 @@ def cmd_sweep(args) -> int:
     from .trajio import mangle_value
 
     combos = list(itertools.product(args.lambdas, args.mus, args.alphas))
-    stems = [
-        f"{args.model}_l{mangle_value(lam)}_m{mangle_value(mu)}_a{mangle_value(alpha)}"
-        for lam, mu, alpha in combos
-    ]
-    clashes = sorted(stem for stem, count in Counter(stems).items() if count > 1)
-    if clashes:
-        raise ValueError(f"sweep combinations share output file names: {', '.join(clashes)}")
+    stems = ["{}_l{}_m{}_a{}".format(args.model, *map(mangle_value, combo)) for combo in combos]
     paths = [os.path.join(args.outdir, stem) for stem in stems]
     outputs = [(path + ".csv", path + ".svg" if args.svg else None) for path in paths]
     _write_combinations(args, combos, outputs, args.outdir)
@@ -158,7 +156,7 @@ def cmd_fit_link(args) -> int:
     from .link_fit import fit_link
     from .trajio import atomic_write_text, format_real, read_link_rows_csv
 
-    _refuse_same_file(args.out, args.input, "--out {} and --input {}")
+    _refuse_same_file([args.input, args.out], "--out {} and --input {}")
     link = fit_link(read_link_rows_csv(args.input))
     report = {
         "beta": [format_real(b) for b in link.coefficients],
@@ -181,7 +179,7 @@ def cmd_rng(args) -> int:
 
     stream = RngStream(args.seed)  # a bad seed is reported before bad parameters
     params = StableParams(alpha=args.alpha, beta=args.beta, gamma=args.gamma, delta=args.delta)
-    _refuse_unwritable(args.out)
+    _refuse_unwritable(args.out or None)  # --out "" prints
     draws = sample_n(params, stream, args.n)
     text = ("%.17g\n" * draws.size) % tuple(draws.tolist())
     if args.out:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import multinterp
-from .sde_sim import GridSpec, ModelKind, Trajectory, _plan, simulate
+from .sde_sim import GridSpec, ModelKind, Trajectory, _plan
 from .stable_rng import StableParams, finite_real, positive_real
 from .streams import RngStream
 
@@ -155,12 +155,11 @@ def collect_rows(
     triples = list(param_grid)
     if not triples:
         raise ValueError("parameter grid must be nonempty")
-    plan = _plan(triples, model_kind, grid, paths=1, x0=1.0, with_jumps=True)
+    plan = _plan(triples, model_kind, grid, stream, paths=1, x0=1.0, with_jumps=True)
     positive_real(threshold_factor, "threshold_factor")
     rows: list[SampleRow] = []
     excluded: list[tuple[float, float, float]] = []
-    for (lam, mu, alpha), (model, (offset,)) in zip(triples, plan):
-        traj = simulate(model, grid, stream.substream(offset))
+    for (lam, mu, alpha), (traj,) in zip(triples, plan):
         hit = detect_first_jump(traj, threshold_factor)
         if hit is None or not math.isfinite(hit[1]):
             excluded.append((lam, mu, alpha))

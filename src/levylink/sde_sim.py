@@ -114,19 +114,21 @@ class Trajectory:
     factor_breach_step: int | None
 
 
-def _plan(triples, kind, grid: GridSpec, paths: int, x0: float, with_jumps: bool):
-    """Each (lam, mu, alpha) triple's ``ModelSpec`` and its paths' substream offsets.
+def _plan(triples, kind, grid: GridSpec, stream: RngStream, paths: int, x0: float,
+          with_jumps: bool):
+    """The run plan: a lazy sequence of each (lam, mu, alpha) triple's ``paths`` trajectories.
 
     Checks ``paths``, builds every model and checks each jump model's step
-    dt**(1/alpha) before it returns; nothing is drawn or written.  Path p of
-    triple i draws on offset i * paths + p of the caller's stream.
+    dt**(1/alpha) before it returns, so nothing is drawn before the caller
+    iterates.  Path p of triple i is simulated on ``stream.substream(i * paths + p)``.
     """
     positive_count(paths, "paths")
     models = [ModelSpec(kind, lam, mu, alpha, x0, with_jumps) for lam, mu, alpha in triples]
     for model in models:
         if model.with_jumps:  # without jumps no stable draw is scaled
             _power(grid.dt, model.alpha, "dt")
-    return [(model, range(i * paths, (i + 1) * paths)) for i, model in enumerate(models)]
+    return ([simulate(model, grid, stream.substream(i * paths + p)) for p in range(paths)]
+            for i, model in enumerate(models))
 
 
 def simulate(model: ModelSpec, grid: GridSpec, stream: RngStream) -> Trajectory:

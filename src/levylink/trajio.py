@@ -60,10 +60,11 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def _refuse_unwritable(*paths) -> None:
-    """Raise the ``OSError`` a write of each path (None, "" skipped) would give, writing none."""
-    for path in filter(None, paths):
+    """Raise the ``OSError`` a write of each path (None skipped) would give, writing none."""
+    for path in (p for p in paths if p is not None):
         try:
-            os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # a missing or file parent
+            # A missing or file parent; "" names no file, as its write finds.
+            os.stat(os.path.join(os.path.dirname(path) or ".", "") if path else "")
             if os.path.isdir(path) and not os.path.islink(path):  # the rename replaces a link
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         except OSError as exc:
@@ -78,25 +79,25 @@ def mangle_value(v: float) -> str:
 def _read_rows(path: str, header: tuple[str, ...], parse: Callable) -> Iterator:
     """``parse(fields)`` of each data row of the CSV at ``path`` under ``header``.
 
-    Blank rows are skipped.  Raises ValueError for a different header.  A
-    row with another number of fields than the header, or one whose
-    ``parse`` raises ValueError, raises ValueError naming its line.
+    Blank rows are skipped.  Raises ValueError for a different header, and
+    one naming the line of a row the csv module refuses (a field over its
+    limit), whose field count differs from the header's or whose ``parse``
+    raises ValueError, or naming the file of bytes that do not decode.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        found = tuple(next(reader, ()))
-        if found != header:
-            raise ValueError(f"expected header {','.join(header)!r}, got {found!r}")
-        for row in reader:
-            if not row:
-                continue
-            try:
+        try:
+            found = tuple(next(reader, ()))
+            for row in filter(None, reader if found == header else ()):
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                parsed = parse(row)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-            yield parsed
+                yield parse(row)
+        except UnicodeDecodeError as exc:  # decoding reads ahead, so no line locates it
+            raise ValueError(f"{path}: {exc}") from None
+        except (csv.Error, ValueError) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if found != header:
+        raise ValueError(f"expected header {','.join(header)!r}, got {found!r}")
 
 
 def trajectories_to_csv(trajectories: Sequence[Trajectory]) -> str:

@@ -615,6 +615,7 @@ def test_package_names_resolve_lazily(tmp_path, check):
 
 
 def test_model_choices_are_the_model_kinds():
+    from levylink.noise_stats import _KS_COEFF
     from levylink.sde_sim import ModelKind
 
     parser = cli.build_parser()
@@ -622,6 +623,10 @@ def test_model_choices_are_the_model_kinds():
     for name in ("simulate", "sweep"):
         (model,) = [a for a in commands.choices[name]._actions if a.dest == "model"]
         assert list(model.choices) == [k.value for k in ModelKind]
+    # The same holds for the significance levels of noise_stats' KS table.
+    (significance,) = [a for a in commands.choices["selfsim"]._actions
+                       if a.dest == "significance"]
+    assert sorted(significance.choices) == sorted(_KS_COEFF)
 
 
 # ----------------------------------------------------------- contract property
@@ -641,7 +646,8 @@ FLAGS = {
     "sweep": {"--model": MODEL, "--alphas": LIST, "--lambdas": LIST, "--mus": LIST,
               "--x0": REAL, "--t-end": REAL, "--steps": COUNT, "--paths": COUNT,
               "--seed": COUNT, "--outdir": (["d"], ["rows.csv", ""]), "--svg": None},
-    "fit-link": {"--input": (["rows.csv"], ["four.csv", "bad.csv", "nope.csv", ".", ""]),
+    "fit-link": {"--input": (["rows.csv"], ["four.csv", "bad.csv", "big.csv", "latin.csv",
+                                            "nope.csv", ".", ""]),
                  "--out": OUT},
     "rng": {"--alpha": REAL, "--beta": (["0", "0.5", "-1"], REAL[1]), "--gamma": REAL,
             "--delta": REAL, "--n": COUNT, "--seed": COUNT, "--out": OUT},
@@ -650,6 +656,15 @@ FLAGS = {
                 # The defaults draw 2.56 million variates; keep them small.
                 "--paths": COUNT, "--steps": COUNT},
 }
+
+
+def tree_bytes(root):
+    """Every path under ``root`` with its bytes, a link's target or None for a directory."""
+    return {
+        p.relative_to(root).as_posix(): os.readlink(p) if p.is_symlink()
+        else None if p.is_dir() else p.read_bytes()
+        for p in root.rglob("*")
+    }
 
 
 @st.composite
@@ -679,12 +694,16 @@ def test_cli_contract_holds_for_any_argv(tmp_path_factory, argv):
     (work / "rows.csv").write_text(LINK_CSV)
     (work / "four.csv").write_text(LINK_CSV.rsplit("\n", 2)[0] + "\n")
     (work / "bad.csv").write_text("lambda,mu,alpha,t,x\n1,2,abc\n")
+    (work / "big.csv").write_text(LINK_CSV.replace("0.4198", "1" * 131_073))
+    (work / "latin.csv").write_bytes(LINK_CSV.replace("0.4198", "0.4\xff").encode("latin-1"))
+    before = tree_bytes(work)
     code, stdout, stderr = run_in_process(argv, work)
     assert code in (0, 1, 2), (code, stderr)
     assert "Traceback" not in stderr
     if code == 1:
         assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
         assert stdout == "", stdout
+        assert tree_bytes(work) == before
 
 
 # ------------------------------------------------------------ validation sites
@@ -712,6 +731,16 @@ ERROR_LINES = {
                                "alpha=3.0 must lie in the interval (0, 2]"),
     "rng_seed_before_alpha": (["rng", "--alpha", "3", "--n", "1", "--seed", "-1"],
                               "seed and stream_id must be non-negative"),
+    "simulate_seed_before_alpha": (["simulate", "--alpha", "3", "--lambda", "1", *SIM_FLAGS,
+                                    "--seed", "-1"],
+                                   "seed and stream_id must be non-negative"),
+    "simulate_seed_before_steps": (["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS,
+                                    "--steps", "0", "--seed", "-1"],
+                                   "seed and stream_id must be non-negative"),
+    "sweep_seed_before_alpha": (["sweep", "--model", "ou", "--alphas", "3", "--lambdas", "1",
+                                 "--mus", "1", "--t-end", "1", "--steps", "8", "--seed", "-1",
+                                 "--outdir", "d"],
+                                "seed and stream_id must be non-negative"),
     "model_alpha": (["simulate", "--alpha", "3", "--lambda", "1", *SIM_FLAGS],
                     "alpha=3.0 must lie in the interval (0, 2]"),
     "model_lam_before_alpha": (["simulate", "--alpha", "3", "--lambda", "-1", *SIM_FLAGS],
@@ -762,6 +791,8 @@ ERROR_LINES = {
                    "nan.csv: line 2: alpha=nan must be finite"),
     "row_t": (["fit-link", "--input", "t.csv"], "t.csv: line 2: t=-0.2 must be non-negative"),
     "row_count": (["fit-link", "--input", "four.csv"], "link fit needs exactly 5 rows, got 4"),
+    "row_field_limit": (["fit-link", "--input", "big.csv"],
+                        "big.csv: line 2: field larger than field limit (131072)"),
 }
 
 
@@ -773,6 +804,7 @@ def test_each_validation_site_prints_its_error_line(tmp_path, case):
     (tmp_path / "nan.csv").write_text(LINK_CSV.replace(first, "1,0.25,nan,0.06055,0.4198"))
     (tmp_path / "t.csv").write_text(LINK_CSV.replace(first, "1,0.25,1,-0.2,0.4198"))
     (tmp_path / "four.csv").write_text(LINK_CSV.rsplit("\n", 2)[0] + "\n")
+    (tmp_path / "big.csv").write_text(LINK_CSV.replace("0.4198", "1" * 131_073))
     before = sorted(tmp_path.iterdir())
     code, out, err = run_in_process(argv, tmp_path)
     assert (code, out, err) == (1, "", f"error: {line}\n")
@@ -891,6 +923,19 @@ def test_simulate_replaces_a_link_to_a_directory_as_any_write_replaces_a_link(tm
     assert not (tmp_path / "lnk").is_symlink()
     assert (tmp_path / "lnk").read_text().startswith("<?xml")
     assert list((tmp_path / "sub").iterdir()) == []
+
+
+def test_simulate_refuses_an_empty_out_before_it_simulates(tmp_path, monkeypatch):
+    # --out is required: "" names no file, and the write's error comes first.
+    from levylink import sde_sim
+
+    calls = []
+    monkeypatch.setattr(sde_sim, "simulate", lambda *a: calls.append(a))
+    argv = ["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS[:-1], ""]
+    error = "error: [Errno 2] No such file or directory: ''\n"
+    assert run_in_process(argv, tmp_path) == (1, "", error)
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_with_an_empty_svg_writes_no_plot(tmp_path):

@@ -211,9 +211,10 @@ def test_detector_matches_median_reference_at_the_edges(values):
 # ------------------------------------------------------------------- fit_link
 
 def test_fit_link_requires_exactly_five_rows():
-    with pytest.raises(ValueError):
+    # fit_link's own count check, not the interpolation's node-shape refusal.
+    with pytest.raises(ValueError, match="^link fit needs exactly 5 rows, got 4$"):
         fit_link(OU_ROWS[:4])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^link fit needs exactly 5 rows, got 6$"):
         fit_link(OU_ROWS + GLM_ROWS[:1])
 
 
@@ -349,7 +350,7 @@ def test_collect_rows_rejects_empty_grid():
 def test_collect_rows_checks_every_input_before_simulating(monkeypatch, triples, t_end,
                                                             threshold, message):
     calls = []
-    monkeypatch.setattr(link_fit, "simulate", lambda *a: calls.append(a))
+    monkeypatch.setattr(sde_sim, "simulate", lambda *a: calls.append(a))
     with pytest.raises(ValueError) as info:
         collect_rows(triples, "ou", GridSpec(t_end, 1024), threshold, RngStream(1))
     assert str(info.value) == message

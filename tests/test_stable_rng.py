@@ -388,7 +388,8 @@ def test_stream_refuses_non_integer_keys(seed, stream_id):
 
 @pytest.mark.parametrize("seed,stream_id", [(-1, 0), (0, -1)])
 def test_stream_refuses_negative_keys_at_construction(seed, stream_id):
-    with pytest.raises(ValueError):
+    # RngStream's own check, not numpy's SeedSequence refusal, which reads otherwise.
+    with pytest.raises(ValueError, match="^seed and stream_id must be non-negative$"):
         RngStream(seed, stream_id)
 
 

@@ -163,10 +163,14 @@ def test_link_rows_round_trip(tmp_path):
 
 
 def test_link_reader_rejects_wrong_header(tmp_path):
+    # The header is refused first: its short row is never read as data.
     path = tmp_path / "bad.csv"
     path.write_text("lambda,mu,alpha,t\n1,2,1,0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         read_link_rows_csv(str(path))
+    assert str(info.value) == (
+        "expected header 'lambda,mu,alpha,t,x', got ('lambda', 'mu', 'alpha', 't')"
+    )
 
 
 @pytest.mark.parametrize("reader", [read_trajectories_csv, read_link_rows_csv])
@@ -210,6 +214,34 @@ def test_readers_name_the_line_of_a_field_that_does_not_parse(tmp_path, reader, 
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         reader(str(path))
+
+
+# One field past the csv module's default limit of 131,072 characters.
+OVERSIZED = "1" * 131_073
+
+
+@pytest.mark.parametrize("reader", [read_trajectories_csv, read_link_rows_csv])
+@pytest.mark.parametrize("line", [1, 2])
+def test_readers_name_the_line_of_a_field_over_the_csv_limit(tmp_path, reader, line):
+    header = TRAJECTORY_HEADER if reader is read_trajectories_csv else LINK_HEADER
+    rows = [",".join(header), ",".join(["1"] * len(header))]
+    rows[line - 1] = OVERSIZED + rows[line - 1]
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError) as info:
+        reader(str(path))
+    assert str(info.value) == f"{path}: line {line}: field larger than field limit (131072)"
+
+
+@pytest.mark.parametrize("reader", [read_trajectories_csv, read_link_rows_csv])
+def test_readers_name_the_file_of_a_byte_that_does_not_decode(tmp_path, reader):
+    header = TRAJECTORY_HEADER if reader is read_trajectories_csv else LINK_HEADER
+    path = tmp_path / "latin.csv"
+    path.write_bytes(",".join(header).encode() + b"\n1,\xff,1\n")
+    with pytest.raises(ValueError) as info:
+        reader(str(path))
+    assert re.fullmatch(f"{re.escape(str(path))}: '[-\\w]+' codec can't decode byte 0xff .*",
+                        str(info.value)), info.value
 
 
 def test_write_is_atomic_no_temp_left_behind(tmp_path):
