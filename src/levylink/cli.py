@@ -109,9 +109,9 @@ def _write_combinations(args, combos, outputs, outdir):
     """Simulate each (lam, mu, alpha) of ``combos`` by the ``sde_sim._plan`` and write it.
 
     ``outputs`` pairs each combination with its CSV path and SVG path or None.
-    The seed, every input and every output path are checked, in that order,
-    before ``outdir`` (None: make none) is made or a path simulated;
-    ``simulate`` is combination 0 of a sweep.
+    The seed, every input and the same-file rule are checked, in that order;
+    then ``outdir`` (None: make none) is made and every output pre-flighted
+    before a path is simulated; ``simulate`` is combination 0 of a sweep.
     """
     from .sde_sim import GridSpec, _plan
     from .streams import RngStream
@@ -124,10 +124,9 @@ def _write_combinations(args, combos, outputs, outdir):
     paths = list(itertools.chain.from_iterable(outputs))
     names = "--svg {} and --out {}" if outdir is None else "--outdir files {} and {}"
     _refuse_same_file(paths, names)
-    if outdir is None or os.path.isdir(outdir):  # a new --outdir holds nothing to check
-        _refuse_unwritable(*paths)
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
+    _refuse_unwritable(*paths)
     for trajectories, (csv_path, svg_path) in zip(plan, outputs):
         atomic_write_text(csv_path, trajectories_to_csv(trajectories))
         if svg_path:

@@ -115,7 +115,7 @@ def detect_first_jump(traj: Trajectory, threshold_factor: float = 10.0):
     with np.errstate(over="ignore", invalid="ignore"):
         diffs = np.abs(np.diff(values))
     median = _median(diffs[np.isfinite(diffs)])
-    threshold = threshold_factor * median if median > 0.0 else 0.0
+    threshold = threshold_factor * median
     hits = np.flatnonzero(diffs > threshold)
     if hits.size == 0:
         return None

@@ -213,16 +213,12 @@ def _in_blocks(n: int, size: int, draw) -> np.ndarray:
 
 def _standard(a: float, b: float, stream: RngStream, n: int) -> np.ndarray:
     """``n`` standard variates of the branch ``(a, b)`` selects, as a fresh array."""
-    # The normal draws change in place: the bits of out of place, without temporaries.
     if a == 2.0:
-        r = stream.normals(n)
-        r *= _SQRT2
-        return r
+        return _SQRT2 * stream.normals(n)
     if a == 1.0 and b == 0.0:
         return cauchy_kernel(stream.uniforms(n))
     if a == 0.5 and abs(b) == 1.0:
-        r = stream.normals(n)
-        return np.divide(b, np.square(r, out=r), out=r)
+        return b / np.square(stream.normals(n))
     u = stream.uniforms(2 * n)
     u1, u2 = u[0::2], u[1::2]
     if a == 1.0:

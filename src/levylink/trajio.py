@@ -82,7 +82,7 @@ def _read_rows(path: str, header: tuple[str, ...], parse: Callable) -> Iterator:
     Blank rows are skipped.  Raises ValueError for a different header, and
     one naming the line of a row the csv module refuses (a field over its
     limit), whose field count differs from the header's or whose ``parse``
-    raises ValueError, or naming the file of bytes that do not decode.
+    raises ValueError, or naming the file and offset of bytes that do not decode.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -93,6 +93,12 @@ def _read_rows(path: str, header: tuple[str, ...], parse: Callable) -> Iterator:
                     raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                 yield parse(row)
         except UnicodeDecodeError as exc:  # decoding reads ahead, so no line locates it
+            if fh.seekable():  # exc counts from its read chunk; decoded whole, from byte 0
+                fh.buffer.seek(0)
+                try:
+                    fh.buffer.read().decode(fh.encoding)
+                except UnicodeDecodeError as whole:
+                    exc = whole
             raise ValueError(f"{path}: {exc}") from None
         except (csv.Error, ValueError) as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None

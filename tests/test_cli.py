@@ -605,6 +605,17 @@ except AttributeError as exc:
 else:
     raise AssertionError("no AttributeError")
 """,
+    "missing_dependency_propagates": """
+import sys
+sys.modules["numpy"] = None
+import levylink
+try:
+    levylink.sde_sim
+except ModuleNotFoundError as exc:
+    assert exc.name == "numpy", exc
+else:
+    raise AssertionError("no ModuleNotFoundError")
+""",
 }
 
 

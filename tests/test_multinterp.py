@@ -1,5 +1,6 @@
 """Multivariate polynomial interpolation: enumeration, matrices, both routes."""
 import math
+import re
 import warnings
 
 import numpy as np
@@ -239,13 +240,21 @@ def test_fit_exactness_on_random_quadratics():
 
 
 def test_fit_rejects_wrong_node_count():
-    with pytest.raises(DimensionMismatch):
+    # fit's own messages, not determinant's refusal of a non-square matrix.
+    def refused(text):
+        return pytest.raises(DimensionMismatch, match=f"^{re.escape(text)}$")
+
+    with refused("degree 2 in 1 variables needs 3 nodes of dimension 1, got shape (2, 1)"):
         fit([[0.0], [1.0]], [0.0, 1.0], 2, 1)
-    with pytest.raises(DimensionMismatch):
+    with refused("expected 3 values, got 2"):
         fit([[0.0], [1.0], [2.0]], [0.0, 1.0], 2, 1)
     # Three nodes, as degree 2 in one variable needs, but of dimension 2.
-    with pytest.raises(DimensionMismatch):
+    with refused("degree 2 in 1 variables needs 3 nodes of dimension 1, got shape (3, 2)"):
         fit([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]], [0.0, 1.0, 2.0], 2, 1)
+    # The link fit's degree 1 in 4 variables: 4 nodes, then 5 nodes of dimension 3.
+    for shape in ((4, 4), (5, 3)):
+        with refused(f"degree 1 in 4 variables needs 5 nodes of dimension 4, got shape {shape}"):
+            fit(np.arange(shape[0] * shape[1], dtype=float).reshape(shape), np.zeros(5), 1, 4)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -327,6 +336,16 @@ def test_fit_refuses_a_solve_whose_residual_exceeds_its_bound(monkeypatch):
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
     with pytest.raises(SingularSampleMatrix, match=r"^solve residual 2e-06 exceeds 3e-08;"):
+        fit([[0.0], [1.0]], [1.0, 2.0], n=1, m=1)
+
+
+def test_fit_reports_a_solve_that_raises_as_singular(monkeypatch):
+    # Well-spread nodes pass the determinant test, so only the solve refuses.
+    def solve(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(SingularSampleMatrix, match="^Singular matrix$"):
         fit([[0.0], [1.0]], [1.0, 2.0], n=1, m=1)
 
 

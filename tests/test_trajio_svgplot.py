@@ -3,6 +3,7 @@ import math
 import os
 import re
 import stat
+import threading
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -236,12 +237,21 @@ def test_readers_name_the_line_of_a_field_over_the_csv_limit(tmp_path, reader, l
 @pytest.mark.parametrize("reader", [read_trajectories_csv, read_link_rows_csv])
 def test_readers_name_the_file_of_a_byte_that_does_not_decode(tmp_path, reader):
     header = TRAJECTORY_HEADER if reader is read_trajectories_csv else LINK_HEADER
-    path = tmp_path / "latin.csv"
-    path.write_bytes(",".join(header).encode() + b"\n1,\xff,1\n")
-    with pytest.raises(ValueError) as info:
-        reader(str(path))
-    assert re.fullmatch(f"{re.escape(str(path))}: '[-\\w]+' codec can't decode byte 0xff .*",
-                        str(info.value)), info.value
+    row = ",".join(["1"] * len(header)) + "\n"
+    # The second file puts the byte past the text decoder's first read chunk;
+    # the pipe cannot be read again, and holds one chunk.
+    for rows, kind in ((0, "file"), (20_000, "file"), (0, "pipe")):
+        head = (",".join(header) + "\n" + row * rows + "1,").encode()
+        path, data = tmp_path / f"latin{rows}{kind}.csv", head + b"\xff,1\n"
+        if kind == "pipe":
+            os.mkfifo(path)
+            threading.Thread(target=path.write_bytes, args=(data,), daemon=True).start()
+        else:
+            path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            reader(str(path))
+        want = f"'[-\\w]+' codec can't decode byte 0xff in position {len(head)}: .*"
+        assert re.fullmatch(f"{re.escape(str(path))}: {want}", str(info.value)), info.value
 
 
 def test_write_is_atomic_no_temp_left_behind(tmp_path):
