@@ -107,7 +107,8 @@ def empirical_ks_two_sample(
 
     The statistic is the supremum distance between the two empirical CDFs,
     attained at one of the pooled sample points; the critical value is
-    c(significance) * sqrt((n + m) / (n * m)).
+    c(significance) * sqrt((n + m) / (n * m)).  Equal sizes under 6 (at 0.01)
+    or 4 (at 0.05) make it at least 1, so the verdict is always ``passed``.
 
     Each sample is sorted once, and both CDFs are evaluated at the two
     sorted samples concatenated: the pooled points in an order
@@ -143,8 +144,9 @@ def self_similarity_check(
     rescaled by c**(1/alpha).  Under the scaling law the two samples share
     one distribution, so the test passes with probability
     1 - significance.  Every argument and both step lengths are checked
-    before anything is drawn.  Paths are drawn and summed in blocks, as the
-    ``stable_rng`` module docstring states.
+    before anything is drawn, and ``n_paths`` too small for the test to fail
+    (under 6 at significance 0.01, under 4 at 0.05) is refused.  Paths are
+    drawn and summed in blocks, as the ``stable_rng`` module docstring states.
     """
     law = StableParams(alpha=alpha)  # checks alpha first
     stretch = _power(c, alpha, "c")
@@ -156,7 +158,11 @@ def self_similarity_check(
     steps = (c * t / n_steps, t / n_steps)
     for dt in steps:
         _power(dt, alpha, "dt")
-    _ks_coefficient(significance)
+    coeff = _ks_coefficient(significance)
+    least = math.floor(2.0 * coeff * coeff) + 1  # the smallest n with coeff*sqrt(2/n) < 1
+    if n_paths < least:
+        raise ValueError(f"n_paths={n_paths} cannot fail a KS check at significance "
+                         f"{significance!r}; use n_paths >= {least}")
 
     paths_per_block = max(1, _BLOCK // n_steps)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import io
 import os
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -82,26 +83,20 @@ def _read_rows(path: str, header: tuple[str, ...], parse: Callable) -> Iterator:
     Blank rows are skipped.  Raises ValueError for a different header, and
     one naming the line of a row the csv module refuses (a field over its
     limit), whose field count differs from the header's or whose ``parse``
-    raises ValueError, or naming the file and offset of bytes that do not decode.
+    raises ValueError.  Undecodable bytes are refused first, by file and byte offset.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            found = tuple(next(reader, ()))
-            for row in filter(None, reader if found == header else ()):
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                yield parse(row)
-        except UnicodeDecodeError as exc:  # decoding reads ahead, so no line locates it
-            if fh.seekable():  # exc counts from its read chunk; decoded whole, from byte 0
-                fh.buffer.seek(0)
-                try:
-                    fh.buffer.read().decode(fh.encoding)
-                except UnicodeDecodeError as whole:
-                    exc = whole
-            raise ValueError(f"{path}: {exc}") from None
-        except (csv.Error, ValueError) as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    try:
+        with open(path, newline="") as fh:  # one read decodes all, so errors count from byte 0
+            reader = csv.reader(io.StringIO(fh.read(), newline=""))  # lines split as fh splits
+        found = tuple(next(reader, ()))
+        for row in filter(None, reader if found == header else ()):
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            yield parse(row)
+    except UnicodeDecodeError as exc:  # raised before any row, so no line locates it
+        raise ValueError(f"{path}: {exc}") from None
+    except (csv.Error, ValueError) as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if found != header:
         raise ValueError(f"expected header {','.join(header)!r}, got {found!r}")
 
@@ -121,10 +116,7 @@ def read_trajectories_csv(path: str) -> dict[int, tuple[np.ndarray, np.ndarray]]
     points = _read_rows(path, TRAJECTORY_HEADER, lambda r: (int(r[0]), float(r[1]), float(r[2])))
     for pid, t, x in points:
         per_path.setdefault(pid, []).append((t, x))
-    return {
-        pid: (np.array([t for t, _ in rows]), np.array([x for _, x in rows]))
-        for pid, rows in per_path.items()
-    }
+    return {pid: tuple(map(np.array, zip(*rows))) for pid, rows in per_path.items()}
 
 
 def read_link_rows_csv(path: str) -> list[SampleRow]:

@@ -488,7 +488,7 @@ def test_rng_small_alpha_prints_no_nan(tmp_path):
     "argv",
     [
         # dt**(1/alpha) underflows to 0: 0 * inf increments, then NaN endpoints.
-        ["selfsim", "--alpha", "1e-320", "--c", "1", "--seed", "0", "--paths", "1", "--steps", "2"],
+        ["selfsim", "--alpha", "1e-320", "--c", "1", "--seed", "0", "--paths", "6", "--steps", "2"],
         ["selfsim", "--alpha", "0.001", "--c", "1", "--seed", "0", "--paths", "50", "--steps", "4"],
         # dt = 1: infinite increments of both signs summed into one endpoint.
         ["selfsim", "--alpha", "0.001", "--c", "1", "--t", "4", "--seed", "0", "--paths", "50",
@@ -796,6 +796,15 @@ ERROR_LINES = {
                         "c*t overflows float64 for c=1e+200, t=1e+200"),
     "selfsim_stretch": (["selfsim", "--alpha", "0.01", "--c", "1e10", *SELFSIM_FLAGS],
                         "c**(1/alpha) overflows float64 for c=10000000000.0, alpha=0.01"),
+    # A KS statistic is at most 1, so below these sizes the check could not fail.
+    "selfsim_too_few_paths": (["selfsim", "--alpha", "1.5", "--c", "1e6", "--paths", "5",
+                               "--steps", "4", "--seed", "1"],
+                              "n_paths=5 cannot fail a KS check at significance 0.01; "
+                              "use n_paths >= 6"),
+    "selfsim_too_few_paths_at_5pc": (["selfsim", "--alpha", "1.5", "--c", "1e6", "--paths", "3",
+                                      "--steps", "4", "--seed", "1", "--significance", "0.05"],
+                                     "n_paths=3 cannot fail a KS check at significance 0.05; "
+                                     "use n_paths >= 4"),
     "row_alpha": (["fit-link", "--input", "alpha.csv"],
                   "alpha.csv: line 2: alpha=3.0 must lie in the interval (0, 2]"),
     "row_finite": (["fit-link", "--input", "nan.csv"],
@@ -969,7 +978,7 @@ def test_rng_and_selfsim_load_only_the_modules_they_call(tmp_path):
 import sys
 from levylink.cli import main
 main(["rng", "--alpha", "1.5", "--n", "2", "--seed", "1", "--out", "x.txt"])
-main(["selfsim", "--alpha", "1.5", "--c", "2", "--paths", "5", "--steps", "2", "--seed", "1"])
+main(["selfsim", "--alpha", "1.5", "--c", "2", "--paths", "6", "--steps", "2", "--seed", "1"])
 print(" ".join(sorted(m for m in sys.modules if m.startswith("levylink."))))
 """
     res = run_python(["-c", script], tmp_path)

@@ -124,7 +124,7 @@ def test_nan_lanes_fall_on_both_sides_of_a_block_boundary(name):
 CHECKS = {
     # (alpha, c, t, n_paths, n_steps)
     "one-step-paths": (1.5, 2.0, 1.0, 2 * B + 7, 1),
-    "steps-above-block": (1.2, 3.0, 0.5, 5, B + 3),
+    "steps-above-block": (1.2, 3.0, 0.5, 6, B + 3),
     "paths-not-whole-blocks": (1.7, 4.0, 2.0, 2 * PATHS_PER_BLOCK_AT_32_STEPS + 7, 32),
     "gaussian": (2.0, 4.0, 1.0, 2 * PATHS_PER_BLOCK_AT_32_STEPS + 7, 32),
     "cauchy": (1.0, 2.0, 1.0, 2 * PATHS_PER_BLOCK_AT_32_STEPS + 7, 32),

@@ -352,6 +352,28 @@ def test_self_similarity_refuses_a_bad_significance_before_drawing():
     assert stream.uniforms(1)[0] == RngStream(56).uniforms(1)[0]
 
 
+@pytest.mark.parametrize("significance,least", [(0.01, 6), (0.05, 4)])
+def test_self_similarity_refuses_too_few_paths_to_fail_before_drawing(significance, least):
+    # Below `least` paths the critical value is at least 1, which no KS statistic exceeds.
+    stream = RngStream(57)
+    for n_paths in (1, least - 1):
+        with pytest.raises(ValueError) as info:
+            self_similarity_check(1.5, 2.0, 1.0, n_paths, 4, stream, significance=significance)
+        assert type(info.value) is ValueError  # not EmptySample: the samples would not be empty
+        assert str(info.value) == (f"n_paths={n_paths} cannot fail a KS check at significance "
+                                   f"{significance}; use n_paths >= {least}")
+    assert stream.uniforms(1)[0] == RngStream(57).uniforms(1)[0]
+    report = self_similarity_check(1.5, 1e6, 1.0, least, 4, stream, significance=significance)
+    assert report.critical_value < 1.0
+
+
+def test_self_similarity_refuses_too_few_paths_after_its_other_checks():
+    with pytest.raises(ValueError, match="significance=0.02"):
+        self_similarity_check(1.5, 2.0, 1.0, 1, 4, RngStream(1), significance=0.02)
+    with pytest.raises(ValueError, match="dt=0.0 must be a positive real"):
+        self_similarity_check(1.5, 2.0, 5e-324, 1, 2, RngStream(1))
+
+
 @pytest.mark.parametrize(
     "args,message",
     [

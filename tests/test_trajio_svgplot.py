@@ -1,4 +1,5 @@
 """CSV round-trips, filename mangling, and the SVG renderer."""
+import csv
 import math
 import os
 import re
@@ -28,6 +29,7 @@ from levylink.svgplot import (
 from levylink.trajio import (
     LINK_HEADER,
     TRAJECTORY_HEADER,
+    _read_rows,
     atomic_write_text,
     format_real,
     mangle_value,
@@ -130,6 +132,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     back = read_trajectories_csv(path)
     assert sorted(back) == [0, 1, 2]
     for pid, traj in enumerate(trajectories):
+        assert type(back[pid]) is tuple
         times, values = back[pid]
         assert np.array_equal(times, traj.times)
         assert np.array_equal(values, traj.values)
@@ -238,9 +241,9 @@ def test_readers_name_the_line_of_a_field_over_the_csv_limit(tmp_path, reader, l
 def test_readers_name_the_file_of_a_byte_that_does_not_decode(tmp_path, reader):
     header = TRAJECTORY_HEADER if reader is read_trajectories_csv else LINK_HEADER
     row = ",".join(["1"] * len(header)) + "\n"
-    # The second file puts the byte past the text decoder's first read chunk;
-    # the pipe cannot be read again, and holds one chunk.
-    for rows, kind in ((0, "file"), (20_000, "file"), (0, "pipe")):
+    # The longer inputs put the byte past the text decoder's first read chunk;
+    # a pipe cannot be read again.
+    for rows, kind in ((0, "file"), (20_000, "file"), (0, "pipe"), (20_000, "pipe")):
         head = (",".join(header) + "\n" + row * rows + "1,").encode()
         path, data = tmp_path / f"latin{rows}{kind}.csv", head + b"\xff,1\n"
         if kind == "pipe":
@@ -252,6 +255,60 @@ def test_readers_name_the_file_of_a_byte_that_does_not_decode(tmp_path, reader):
             reader(str(path))
         want = f"'[-\\w]+' codec can't decode byte 0xff in position {len(head)}: .*"
         assert re.fullmatch(f"{re.escape(str(path))}: {want}", str(info.value)), info.value
+
+
+@pytest.mark.parametrize("reader", [read_trajectories_csv, read_link_rows_csv])
+def test_readers_refuse_bytes_that_do_not_decode_before_any_row(tmp_path, reader):
+    header = TRAJECTORY_HEADER if reader is read_trajectories_csv else LINK_HEADER
+    path = tmp_path / "short_then_latin.csv"
+    path.write_bytes((",".join(header) + "\n1\n").encode() + b"1," * 5000 + b"\xff\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + "'[-\\w]+' codec can't decode"):
+        reader(str(path))
+
+
+def _file_rows(path):
+    """``(line number, fields)`` of each row ``csv.reader`` reads from the open file.
+
+    The oracle of line splitting: the reader parsed the file this way before
+    it decoded each input whole.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        return [(reader.line_num, row) for row in reader]
+
+
+# Line ends of every kind, blank rows, quoted fields holding line ends, and
+# characters that str.splitlines takes for line ends but a text file does not.
+LINE_PIECES = st.sampled_from(["1", "22", ",", "\n", "\r", "\r\n", '"', '""', '"3\n4"', '"5\r\n,6"',
+                               "\x0c", "\x1e"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["\n", "\r", "\r\n"]), st.lists(LINE_PIECES, max_size=40), st.integers(0, 6))
+def test_reader_splits_lines_as_csv_over_the_open_file(tmp_path_factory, end, pieces, fail_at):
+    # A parse that refuses data row fail_at shows the line number given to that row.
+    path = tmp_path_factory.mktemp("lines") / "rows.csv"
+    path.write_bytes(("a,b" + end + "".join(pieces)).encode())
+    want, want_error = [], None
+    for n, row in [(n, row) for n, row in _file_rows(path)[1:] if row]:
+        if len(row) != 2 or len(want) == fail_at:
+            message = f"expected 2 fields, got {len(row)}" if len(row) != 2 else "refused"
+            want_error = f"{path}: line {n}: {message}"
+            break
+        want.append(row)
+    got, got_error = [], None
+
+    def parse(row):
+        if len(got) == fail_at:
+            raise ValueError("refused")
+        got.append(row)
+        return row
+
+    try:
+        assert list(_read_rows(str(path), ("a", "b"), parse)) == got
+    except ValueError as exc:
+        got_error = str(exc)
+    assert (got, got_error) == (want, want_error)
 
 
 def test_write_is_atomic_no_temp_left_behind(tmp_path):
