@@ -95,38 +95,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_same_file(paths, names):
-    """``ValueError`` when a given path resolves to an earlier one; ``names`` formats both."""
-    earlier = {}
-    for path in filter(None, paths):
-        real = os.path.realpath(path)
-        if real in earlier:
-            raise ValueError(names.format(repr(path), repr(earlier[real])) + " name the same file")
-        earlier[real] = path
-
-
 def _write_combinations(args, combos, outputs, outdir):
     """Simulate each (lam, mu, alpha) of ``combos`` by the ``sde_sim._plan`` and write it.
 
     ``outputs`` pairs each combination with its CSV path and SVG path or None.
-    The seed, every input and the same-file rule are checked, in that order;
-    then ``outdir`` (None: make none) is made and every output pre-flighted
-    before a path is simulated; ``simulate`` is combination 0 of a sweep.
+    The seed and every input are checked, in that order, then the outputs
+    are refused by ``trajio._refuse_paths`` (which makes ``outdir`` unless
+    None) before a path is simulated; ``simulate`` is combination 0 of a sweep.
     """
     from .sde_sim import GridSpec, _plan
     from .streams import RngStream
     from .svgplot import render_paths_svg
-    from .trajio import _refuse_unwritable, atomic_write_text, trajectories_to_csv
+    from .trajio import _refuse_paths, atomic_write_text, trajectories_to_csv
 
     stream = RngStream(args.seed)  # a bad seed is reported before any other input
     grid = GridSpec(t_end=args.t_end, n_steps=args.steps)
     plan = _plan(combos, args.model, grid, stream, args.paths, args.x0, not args.no_jumps)
     paths = list(itertools.chain.from_iterable(outputs))
     names = "--svg {} and --out {}" if outdir is None else "--outdir files {} and {}"
-    _refuse_same_file(paths, names)
-    if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
-    _refuse_unwritable(*paths)
+    _refuse_paths(paths, names, outdir)
     for trajectories, (csv_path, svg_path) in zip(plan, outputs):
         atomic_write_text(csv_path, trajectories_to_csv(trajectories))
         if svg_path:
@@ -153,9 +140,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_fit_link(args) -> int:
     from .link_fit import fit_link
-    from .trajio import atomic_write_text, format_real, read_link_rows_csv
+    from .trajio import _refuse_paths, atomic_write_text, format_real, read_link_rows_csv
 
-    _refuse_same_file([args.input, args.out], "--out {} and --input {}")
+    _refuse_paths([args.input, args.out or None], "--out {} and --input {}")
     link = fit_link(read_link_rows_csv(args.input))
     report = {
         "beta": [format_real(b) for b in link.coefficients],
@@ -174,11 +161,11 @@ def cmd_fit_link(args) -> int:
 def cmd_rng(args) -> int:
     from .stable_rng import StableParams, sample_n
     from .streams import RngStream
-    from .trajio import _refuse_unwritable, atomic_write_text
+    from .trajio import _refuse_paths, atomic_write_text
 
     stream = RngStream(args.seed)  # a bad seed is reported before bad parameters
     params = StableParams(alpha=args.alpha, beta=args.beta, gamma=args.gamma, delta=args.delta)
-    _refuse_unwritable(args.out or None)  # --out "" prints
+    _refuse_paths([args.out or None])  # --out "" prints
     draws = sample_n(params, stream, args.n)
     text = ("%.17g\n" * draws.size) % tuple(draws.tolist())
     if args.out:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .stable_rng import _BLOCK, StableParams, _in_blocks, sample_n
+from .stable_rng import StableParams, _in_blocks, sample_n
 from .stable_rng import non_negative_real, positive_count, positive_real
 from .streams import RngStream
 
@@ -164,14 +164,12 @@ def self_similarity_check(
         raise ValueError(f"n_paths={n_paths} cannot fail a KS check at significance "
                          f"{significance!r}; use n_paths >= {least}")
 
-    paths_per_block = max(1, _BLOCK // n_steps)
-
     def endpoints(dt: float) -> np.ndarray:
         def block(k: int) -> np.ndarray:
             steps = increments(law, 1.0, dt, stream, k * n_steps)
             return steps.reshape(k, n_steps).sum(axis=1)
 
-        return _in_blocks(n_paths, paths_per_block, block)
+        return _in_blocks(n_paths, block, n_steps)
 
     # Heavy tails may overflow the sums and the rescale; inf - inf is NaN,
     # which the KS refuses.

@@ -30,10 +30,10 @@ or a rounded-negative cosine and give NaN.  The CMS branch re-evaluates just
 those lanes with :func:`log_space_kernel`, so every other draw keeps the
 bits of the product form.
 
-Draw blocks: a large draw runs in blocks of at most ``_BLOCK`` = 2**14
-items, each drawn, transformed and written into one result, so temporaries
-stay in cache and memory is bounded by the block, not by the request.
-``sample_n`` blocks the variates of every branch, and
+Draw blocks: ``_in_blocks`` runs a large draw in blocks of at most
+``_BLOCK`` = 2**14 variates, each drawn, transformed and written into one
+result, so temporaries stay in cache and memory is bounded by the block,
+not by the request.  ``sample_n`` blocks the variates of every branch, and
 ``noise_stats.self_similarity_check`` blocks whole paths of increments (one
 path per block when a path is longer).  Blocks end on whole items and each
 step is elementwise or per path, so the bits and the draw schedule are
@@ -203,8 +203,9 @@ def _shift(r, params: StableParams):
     return r
 
 
-def _in_blocks(n: int, size: int, draw) -> np.ndarray:
-    """``draw(k)`` for consecutive blocks of at most ``size`` of ``n`` items, in one new array."""
+def _in_blocks(n: int, draw, width: int = 1) -> np.ndarray:
+    """``draw(k)`` over ``n`` items of ``width`` variates, blocked as the module docstring says."""
+    size = max(1, _BLOCK // width)
     out = np.empty(n)
     for start in range(0, n, size):
         out[start:start + size] = draw(min(size, n - start))
@@ -243,4 +244,4 @@ def sample_n(params: StableParams, stream: RngStream, n: int) -> np.ndarray:
     a, b = params.alpha, params.beta
     # Stable tails legitimately overflow float64; propagate IEEE infs.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _shift(_in_blocks(n, _BLOCK, lambda k: _standard(a, b, stream, k)), params)
+        return _shift(_in_blocks(n, lambda k: _standard(a, b, stream, k)), params)

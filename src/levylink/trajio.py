@@ -60,11 +60,23 @@ def atomic_write_text(path: str, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _refuse_unwritable(*paths) -> None:
-    """Raise the ``OSError`` a write of each path (None skipped) would give, writing none."""
-    for path in (p for p in paths if p is not None):
-        try:
-            # A missing or file parent; "" names no file, as its write finds.
+def _refuse_paths(paths, names="{} and {}", outdir=None) -> None:
+    """Raise, opening none of ``paths`` (None skipped), the error its open would give.
+
+    A path naming an earlier one's file comes first (``names`` formats the pair),
+    then ``outdir`` is made if given; reads and writes refuse a bad parent alike.
+    """
+    paths = [p for p in paths if p is not None]
+    earlier = {}
+    for path in filter(None, paths):
+        real = os.path.realpath(path)
+        if real in earlier:
+            raise ValueError(names.format(repr(path), repr(earlier[real])) + " name the same file")
+        earlier[real] = path
+    if outdir is not None:
+        os.makedirs(outdir, exist_ok=True)
+    for path in paths:
+        try:  # a missing or file parent, a directory, or "", which names no file
             os.stat(os.path.join(os.path.dirname(path) or ".", "") if path else "")
             if os.path.isdir(path) and not os.path.islink(path):  # the rename replaces a link
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))

@@ -322,6 +322,22 @@ def test_fit_link_refuses_an_out_that_is_the_input(tmp_path, out):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "rows.csv"]
 
 
+def test_fit_link_refuses_its_out_before_it_reads(tmp_path, monkeypatch):
+    # Refuse paths, compute, write, print: a bad --out wins over a bad input.
+    from levylink import trajio
+
+    reads, real_read = [], trajio.read_link_rows_csv
+    monkeypatch.setattr(trajio, "read_link_rows_csv",
+                        lambda path: reads.append(path) or real_read(path))
+    (tmp_path / "four.csv").write_text(LINK_CSV.rsplit("\n", 2)[0] + "\n")
+    out = os.path.join("nodir", "r.json")
+    code, stdout, err = run_in_process(["fit-link", "--input", "four.csv", "--out", out], tmp_path)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+    assert reads == []
+    assert [p.name for p in tmp_path.iterdir()] == ["four.csv"]
+
+
 # ------------------------------------------------------------------------ rng
 
 def test_rng_deterministic_output(tmp_path):
@@ -878,7 +894,7 @@ def test_sweep_refuses_an_svg_that_is_its_csv_before_writing(tmp_path):
 
 SWEEP_FLAGS = ["sweep", "--model", "ou", "--lambdas", "1", "--mus", "1", "--t-end", "1",
                "--steps", "8", "--seed", "1"]
-# (argv, directories and files made first, the error the first failing write raises);
+# (argv, directories and files made first, the error the first failing open raises);
 # rows.csv always holds the five link rows.
 UNWRITABLE = {
     "simulate_svg_in_no_dir": (
@@ -903,12 +919,26 @@ UNWRITABLE = {
     # An --outdir that is a file holds no outputs to check; making it refuses.
     "sweep_outdir_is_a_file": (
         [*SWEEP_FLAGS, "--alphas", "1.5", "--outdir", "f"], [], ["f"], "[Errno 17] File exists: 'f'"),
+    "sweep_outdir_empty": ([*SWEEP_FLAGS, "--alphas", "1.5", "--outdir", ""], [], [],
+                           "[Errno 2] No such file or directory: ''"),
     # fit-link writes its report before it prints it.
     "fit_link_out_in_no_dir": (
         ["fit-link", "--input", "rows.csv", "--out", os.path.join("nodir", "r.json")],
         [], [], "[Errno 2] No such file or directory: {!r}".format(os.path.join("nodir", "r.json"))),
     "fit_link_out_is_a_directory": (
         ["fit-link", "--input", "rows.csv", "--out", "d"], ["d"], [], "[Errno 21] Is a directory: 'd'"),
+    # fit-link refuses an --input as its read would, with the same line.
+    # "" names no file, so it shares none with --out ".".
+    "fit_link_input_empty": (["fit-link", "--input", "", "--out", "."], [], [],
+                             "[Errno 2] No such file or directory: ''"),
+    "fit_link_input_is_a_directory": (["fit-link", "--input", ".", "--out", "r.json"], [], [],
+                                      "[Errno 21] Is a directory: '.'"),
+    "fit_link_input_in_no_dir": (
+        ["fit-link", "--input", os.path.join("nodir", "x.csv")], [], [],
+        "[Errno 2] No such file or directory: {!r}".format(os.path.join("nodir", "x.csv"))),
+    "fit_link_input_under_a_file": (
+        ["fit-link", "--input", os.path.join("f", "x.csv"), "--out", "r.json"], [], ["f"],
+        "[Errno 20] Not a directory: {!r}".format(os.path.join("f", "x.csv"))),
     # Drawing 10**12 variates would need 7.28 TiB: rng refuses --out before it draws.
     "rng_out_in_no_dir": (
         ["rng", "--alpha", "1.5", "--n", "1000000000000", "--seed", "1", "--out",
@@ -965,11 +995,12 @@ def test_simulate_with_an_empty_svg_writes_no_plot(tmp_path):
 
 
 def test_sweep_reruns_into_its_existing_outdir(tmp_path):
-    argv = [*SWEEP_FLAGS, "--alphas", "1.5", "--outdir", "d", "--svg"]
+    # The first run makes every missing level of --outdir.
+    argv = [*SWEEP_FLAGS, "--alphas", "1.5", "--outdir", os.path.join("d", "e"), "--svg"]
     assert run_in_process(argv, tmp_path) == (0, "", "")
-    first = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()}
+    first = {p.name: p.read_bytes() for p in (tmp_path / "d" / "e").iterdir()}
     assert run_in_process(argv, tmp_path) == (0, "", "")
-    assert {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()} == first
+    assert {p.name: p.read_bytes() for p in (tmp_path / "d" / "e").iterdir()} == first
     assert sorted(first) == ["ou_l1_m1_a1p5.csv", "ou_l1_m1_a1p5.svg"]
 
 

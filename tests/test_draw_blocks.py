@@ -92,6 +92,12 @@ BRANCHES = {
     "nan-skewed": StableParams(1e-3, 0.5),
     "nan-next-above-one": StableParams(math.nextafter(1.0, 2.0), 1.0),
     "nan-next-above-one-negative": StableParams(math.nextafter(1.0, 2.0), -1.0),
+    # Dispatch edges: alpha = 2 is Gaussian at any beta, and only |beta| = 1
+    # at alpha = 0.5 exactly takes the Levy branch.
+    "gaussian-skewed": StableParams(2.0, 0.7),
+    "cms-alpha-half": StableParams(0.5, 0.7),
+    "cms-below-half-total-skew": StableParams(0.3, 1.0),
+    "cms-quarter-total-skew": StableParams(0.25, -1.0),
 }
 
 
@@ -160,6 +166,33 @@ def test_self_similarity_asks_for_at_most_one_block_of_increments(monkeypatch):
     noise_stats.self_similarity_check(1.5, 2.0, 1.0, 2000, 32, RngStream(4))
     assert sum(sizes) == 2 * 2000 * 32
     assert max(sizes) <= B
+
+
+def test_sample_n_draws_whole_blocks_then_the_rest(monkeypatch):
+    sizes = []
+    real_standard = stable_rng._standard
+    monkeypatch.setattr(
+        stable_rng, "_standard",
+        lambda a, b, stream, n: sizes.append(n) or real_standard(a, b, stream, n),
+    )
+    sample_n(StableParams(1.5), RngStream(4), 3 * B + 5)
+    assert sizes == [B, B, B, 5]
+
+
+@pytest.mark.parametrize("n_steps", [1, 48, B + 3])
+def test_self_similarity_blocks_hold_the_most_whole_paths_that_fit(n_steps, monkeypatch):
+    # 48 does not divide the block: 341 paths of 48 steps fill 16,368 of 16,384.
+    per_block = max(1, B // n_steps)
+    n_paths = 2 * per_block + 5
+    sizes = []
+    real_increments = noise_stats.increments
+    monkeypatch.setattr(
+        noise_stats, "increments",
+        lambda law, scale, dt, stream, n: sizes.append(n) or real_increments(law, scale, dt, stream, n),
+    )
+    noise_stats.self_similarity_check(1.5, 2.0, 1.0, n_paths, n_steps, RngStream(4))
+    whole, rest = divmod(n_paths, per_block)
+    assert sizes == ([per_block * n_steps] * whole + [rest * n_steps] * (rest > 0)) * 2
 
 
 def peak_traced_bytes(fn):

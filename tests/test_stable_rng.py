@@ -214,6 +214,15 @@ def test_shift_rule_at_unit_index_adds_log_term():
     assert got == pytest.approx(want, rel=1e-14)
 
 
+def test_shift_rule_at_unit_index_below_unit_scale():
+    # Below gamma = 1 the log term is negative; it still applies, and delta adds on.
+    u = RngStream(12).uniforms(2)
+    raw = unit_index_kernel(0.5, u[0], u[1])
+    got = float(sample_n(StableParams(alpha=1.0, beta=0.5, gamma=0.5, delta=-1.5), RngStream(12), 1)[0])
+    want = 0.5 * raw + (2.0 / math.pi) * 0.5 * 0.5 * math.log(0.5) - 1.5
+    assert got == pytest.approx(want, rel=1e-14)
+
+
 def test_shift_rule_at_unit_index_zero_scale_collapses_to_delta():
     # gamma * log(gamma) -> 0 as gamma -> 0, so gamma = 0 must not produce NaN.
     got = float(sample_n(StableParams(alpha=1.0, beta=0.9, gamma=0.0, delta=1.25), RngStream(13), 1)[0])

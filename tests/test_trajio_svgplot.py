@@ -22,6 +22,7 @@ from levylink.svgplot import (
     MARGIN_LEFT,
     MARGIN_RIGHT,
     MARGIN_TOP,
+    PALETTE,
     WIDTH,
     _bounds,
     render_paths_svg,
@@ -362,6 +363,15 @@ def test_svg_labels_axes():
     svg = render_paths_svg([(np.array([0.0, 1.0]), np.array([0.0, 2.0]))])
     assert ">t<" in svg
     assert "X_t" in svg
+
+
+def test_svg_cycles_its_colours_and_prints_bounds_to_six_digits():
+    paths = [(np.array([1.234567, 2.5]), np.array([-0.1234567, 9.876543 + i])) for i in range(9)]
+    root = ET.fromstring(render_paths_svg(paths))
+    strokes = [e.get("stroke") for e in root.iter() if e.tag.endswith("polyline")]
+    assert strokes == [*PALETTE, PALETTE[0]]
+    labels = [e.text for e in root.iter() if e.tag.endswith("text")]
+    assert labels == ["t", "X_t", "1.23457", "2.5", "-0.123457", "17.8765"]
 
 
 def test_svg_is_byte_reproducible():
