@@ -153,9 +153,9 @@ def simulate(model: ModelSpec, grid: GridSpec, stream: RngStream) -> Trajectory:
         steps += [x := keep * x + s for s in shocks]
         values = np.fromiter(steps, float, n + 1)
     else:
-        brownian = (model.mu * math.sqrt(dt)) * stream.normals(n)
         # Overflow and inf * 0 are legitimate outcomes here, flagged below.
         with np.errstate(over="ignore", invalid="ignore"):
+            brownian = (model.mu * math.sqrt(dt)) * stream.normals(n)
             jumps = 0.0
             if model.with_jumps:
                 # Unit scale, or zero at mu = 0: no draws, so no 0 * inf.

@@ -520,6 +520,9 @@ def test_rng_small_alpha_prints_no_nan(tmp_path):
         # A GLM path from x0 = 0 meets a factor that overflowed to inf: 0 * inf.
         ["simulate", "--model", "glm", "--alpha", "0.3", "--lambda", "1", "--mu", "1e290",
          "--x0", "0", "--t-end", "8e6", "--steps", "8", "--seed", "1", "--out", "o.csv"],
+        # mu * sqrt(dt) = 1e308 times a normal draw above 1.8 overflows the Brownian term.
+        ["simulate", "--model", "glm", "--alpha", "1", "--lambda", "1", "--mu", "1e308",
+         "--t-end", "1", "--steps", "1", "--seed", "3", "--out", "o.csv"],
     ],
 )
 def test_tiny_alpha_commands_exit_cleanly_without_warnings(tmp_path, monkeypatch, argv):
