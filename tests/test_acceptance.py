@@ -21,6 +21,7 @@ from levylink.stable_rng import StableParams, sample_n
 from levylink.streams import RngStream
 
 from ks_oracle import empirical_ks_one_sample
+from scan_oracle import scan_for_first_jump
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -288,21 +289,6 @@ def test_criterion_7_jump_pipeline_properties():
     t0 = time.perf_counter()
     failures = []
 
-    def scan(traj, factor):
-        diffs = [abs(float(traj.values[k + 1]) - float(traj.values[k]))
-                 for k in range(len(traj.values) - 1)]
-        finite = sorted(d for d in diffs if math.isfinite(d))
-        if finite:
-            mid = len(finite) // 2
-            med = finite[mid] if len(finite) % 2 else 0.5 * (finite[mid - 1] + finite[mid])
-        else:
-            med = 0.0
-        threshold = factor * med if med > 0.0 else 0.0
-        for k, d in enumerate(diffs):
-            if d > threshold:
-                return float(traj.times[k + 1]), float(traj.values[k + 1])
-        return None
-
     grid = GridSpec(t_end=1.0, n_steps=128)
     jumps = 0
     for i in range(100):
@@ -312,7 +298,7 @@ def test_criterion_7_jump_pipeline_properties():
         traj = simulate(ModelSpec(kind=kind, lam=1.0, mu=mu, alpha=alpha, x0=1.0),
                         grid, RngStream(900, i))
         got = detect_first_jump(traj, 10.0)
-        want = scan(traj, 10.0)
+        want = scan_for_first_jump(traj, 10.0)
         if got != want:
             failures.append(f"path {i}: detector {got} vs scan oracle {want}")
         jumps += got is not None

@@ -1,9 +1,9 @@
-"""Blocked stable draws against single-pass oracles, and their memory.
+"""Blocked stable draws against the single-pass references, and their memory.
 
 ``sample_n`` runs every branch in blocks of ``stable_rng._BLOCK`` variates,
 and ``self_similarity_check`` draws and sums its increments in blocks of
 whole paths, at most ``_BLOCK`` increments each (one path when a path is
-longer).  The oracles below draw each request in one pass, as both did
+longer).  ``draw_oracle`` draws each request in one pass, as both did
 before they were blocked; the blocked results must have the same bytes and
 leave the stream at the same point.
 """
@@ -14,67 +14,14 @@ import numpy as np
 import pytest
 
 from levylink import noise_stats, stable_rng
-from levylink.stable_rng import (
-    StableParams,
-    cauchy_kernel,
-    log_space_kernel,
-    sample_n,
-    skewed_kernel,
-    unit_index_kernel,
-)
+from levylink.stable_rng import StableParams, sample_n, skewed_kernel
 from levylink.streams import RngStream
 
+import draw_oracle
 from symmetric_oracle import symmetric_kernel
 
 B = stable_rng._BLOCK
 PATHS_PER_BLOCK_AT_32_STEPS = B // 32
-
-
-def single_pass_sample_n(params, stream, n):
-    """``sample_n`` with every branch drawn over all ``n`` at once.
-
-    Skew-free draws use the test-side copy of the skew-free formula.
-    """
-    a, b = params.alpha, params.beta
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if a == 2.0:
-            r = stream.normals(n)
-            r *= math.sqrt(2.0)
-        elif a == 1.0 and b == 0.0:
-            r = cauchy_kernel(stream.uniforms(n))
-        elif a == 0.5 and abs(b) == 1.0:
-            r = stream.normals(n)
-            np.square(r, out=r)
-            np.divide(b, r, out=r)
-        else:
-            u = stream.uniforms(2 * n)
-            u1, u2 = u[0::2], u[1::2]
-            if b == 0.0:
-                r = symmetric_kernel(a, u1, u2)
-            elif a != 1.0:
-                r = skewed_kernel(a, b, u1, u2)
-            else:
-                r = unit_index_kernel(b, u1, u2)
-            if a != 1.0 and np.isnan(r).any():
-                lanes = np.isnan(r)
-                r[lanes] = log_space_kernel(a, b, u1[lanes], u2[lanes])
-        return stable_rng._shift(r, params)
-
-
-def single_pass_endpoints(alpha, c, t, n_paths, n_steps, stream):
-    """The two endpoint samples of ``self_similarity_check``, all increments at once."""
-    law = StableParams(alpha)
-
-    def endpoints(horizon):
-        steps = single_pass_sample_n(law, stream, n_paths * n_steps)
-        steps *= 1.0 * (horizon / n_steps) ** (1.0 / alpha)
-        return steps.reshape(n_paths, n_steps).sum(axis=1)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        stretched = endpoints(c * t)
-        rescaled = endpoints(t)
-        rescaled *= c ** (1.0 / alpha)
-    return stretched, rescaled
 
 
 BRANCHES = {
@@ -107,7 +54,7 @@ def test_sample_n_has_the_bytes_and_schedule_of_one_pass(name, n):
     params = BRANCHES[name]
     got_stream, want_stream = RngStream(8, 3), RngStream(8, 3)
     got = sample_n(params, got_stream, n)
-    want = single_pass_sample_n(params, want_stream, n)
+    want = draw_oracle.sample_n(params, want_stream, n)
     assert got.tobytes() == want.tobytes()
     assert got_stream.uniforms(2).tobytes() == want_stream.uniforms(2).tobytes()
 
@@ -149,7 +96,7 @@ def test_self_similarity_endpoints_have_the_bytes_of_one_pass(name, monkeypatch)
     got_stream, want_stream = RngStream(5, 1), RngStream(5, 1)
     noise_stats.self_similarity_check(alpha, c, t, n_paths, n_steps, got_stream)
     [(stretched, rescaled)] = seen
-    want_stretched, want_rescaled = single_pass_endpoints(alpha, c, t, n_paths, n_steps, want_stream)
+    want_stretched, want_rescaled = draw_oracle.endpoints(alpha, c, t, n_paths, n_steps, want_stream)
     assert stretched.tobytes() == want_stretched.tobytes()
     assert rescaled.tobytes() == want_rescaled.tobytes()
     assert got_stream.uniforms(2).tobytes() == want_stream.uniforms(2).tobytes()

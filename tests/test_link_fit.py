@@ -19,6 +19,8 @@ from levylink.multinterp import SingularSampleMatrix
 from levylink.sde_sim import GridSpec, ModelKind, ModelSpec, Trajectory, simulate
 from levylink.streams import RngStream
 
+from scan_oracle import scan_for_first_jump
+
 # Reference first-jump record tables, one per model, with the known
 # solution of each 5x5 fit (cross-checked against an independent
 # elimination oracle in the acceptance suite).
@@ -48,23 +50,6 @@ def make_traj(values, dt=0.25):
         overflowed=not bool(np.isfinite(values).all()),
         factor_breach_step=None,
     )
-
-
-def scan_for_first_jump(traj, threshold_factor):
-    # Independent re-implementation: explicit loop, sorting-based median.
-    diffs = [abs(float(traj.values[k + 1]) - float(traj.values[k]))
-             for k in range(len(traj.values) - 1)]
-    finite = sorted(d for d in diffs if math.isfinite(d))
-    if finite:
-        mid = len(finite) // 2
-        median = finite[mid] if len(finite) % 2 else 0.5 * (finite[mid - 1] + finite[mid])
-    else:
-        median = 0.0
-    threshold = threshold_factor * median if median > 0.0 else 0.0
-    for k, d in enumerate(diffs):
-        if d > threshold:
-            return float(traj.times[k + 1]), float(traj.values[k + 1])
-    return None
 
 
 def median_detector(traj, threshold_factor=10.0):
