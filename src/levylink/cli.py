@@ -142,7 +142,7 @@ def cmd_fit_link(args) -> int:
     from .link_fit import fit_link
     from .trajio import _refuse_paths, atomic_write_text, format_real, read_link_rows_csv
 
-    _refuse_paths([args.input, args.out or None], "--out {} and --input {}")
+    _refuse_paths([args.input, args.out or None], "--out {} and --input {}", reads=1)
     link = fit_link(read_link_rows_csv(args.input))
     report = {
         "beta": [format_real(b) for b in link.coefficients],

@@ -10,6 +10,7 @@ import csv
 import errno
 import io
 import os
+import stat
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
@@ -60,11 +61,12 @@ def atomic_write_text(path: str, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _refuse_paths(paths, names="{} and {}", outdir=None) -> None:
+def _refuse_paths(paths, names="{} and {}", outdir=None, reads=0) -> None:
     """Raise, opening none of ``paths`` (None skipped), the error its open would give.
 
     A path naming an earlier one's file comes first (``names`` formats the pair),
     then ``outdir`` is made if given; reads and writes refuse a bad parent alike.
+    Paths after the first ``reads`` are written: an existing FIFO, device or socket is refused.
     """
     paths = [p for p in paths if p is not None]
     earlier = {}
@@ -75,13 +77,16 @@ def _refuse_paths(paths, names="{} and {}", outdir=None) -> None:
         earlier[real] = path
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
-    for path in paths:
+    for n, path in enumerate(paths):
         try:  # a missing or file parent, a directory, or "", which names no file
             os.stat(os.path.join(os.path.dirname(path) or ".", "") if path else "")
-            if os.path.isdir(path) and not os.path.islink(path):  # the rename replaces a link
+            mode = os.lstat(path).st_mode if os.path.lexists(path) else stat.S_IFREG
+            if stat.S_ISDIR(mode):  # the rename replaces a link, even one to a directory
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
+        if n >= reads and not (stat.S_ISREG(mode) or stat.S_ISLNK(mode)):  # opening a FIFO blocks
+            raise ValueError(f"{path!r} exists and is not a regular file")
 
 
 def mangle_value(v: float) -> str:

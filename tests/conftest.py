@@ -8,9 +8,9 @@ holds the package this process imported goes first on the children's
 
 The report header names the platform fingerprint that the golden bytes
 are keyed by, so a log shows which constant set a run compared against.
-Next to it stands the package's line count, the total ``wc -l
-src/levylink/*.py`` prints, so every log records the size of the code it
-tested.
+Next to it stand the line counts that ``wc -l src/levylink/*.py`` and
+``wc -l tests/*.py`` total, so every log records the size of the code it
+tested and of the suite that tested it.
 """
 import os
 from pathlib import Path
@@ -21,12 +21,16 @@ import levylink
 from platform_key import fingerprint
 
 
+def line_count(directory):
+    """Newlines in ``directory/*.py``, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in Path(directory).glob("*.py"))
+
+
 def platform_line():
     numpy, machine, x86_v4 = fingerprint()
-    modules = Path(levylink.__file__).resolve().parent.glob("*.py")
-    lines = sum(p.read_bytes().count(b"\n") for p in modules)  # as wc -l counts
+    src = line_count(Path(levylink.__file__).resolve().parent)
     return (f"levylink platform: numpy {numpy}, {machine}, X86_V4 (AVX-512) loops {x86_v4}; "
-            f"src/levylink/*.py {lines} lines")
+            f"src/levylink/*.py {src} lines; tests/*.py {line_count(Path(__file__).parent)} lines")
 
 
 def pytest_report_header(config):

@@ -1,4 +1,4 @@
-"""End-to-end CLI tests driven through subprocesses."""
+"""End-to-end CLI tests, in process and, where the child is the contract, in subprocesses."""
 import argparse
 import contextlib
 import csv
@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
@@ -116,23 +118,6 @@ def test_simulate_writes_svg(tmp_path):
     assert len(polylines) == 3
 
 
-def test_simulate_rejects_bad_alpha(tmp_path):
-    res = run_cli(
-        ["simulate", "--model", "ou", "--alpha", "3", "--lambda", "1", "--mu", "1",
-         "--t-end", "1", "--steps", "8", "--seed", "1", "--out", "x.csv"],
-        tmp_path,
-    )
-    assert res.returncode == 1
-    assert res.stderr.startswith("error:")
-    assert "(0, 2]" in res.stderr
-
-
-def test_simulate_rejects_nonpositive_paths(tmp_path):
-    res = run_cli(SIMULATE[:-4] + ["0", "--seed", "1", "--out", "x.csv"], tmp_path)
-    assert res.returncode == 1
-    assert res.stderr.startswith("error:")
-
-
 # ---------------------------------------------------------------------- sweep
 
 def test_sweep_product_file_count(tmp_path):
@@ -170,61 +155,6 @@ def test_list_flags_skip_blank_items():
     assert cli._float_list("1.5, ,2,,") == [1.5, 2.0]
     with pytest.raises(argparse.ArgumentTypeError):
         cli._float_list(" , ")
-
-
-def test_sweep_rejects_empty_alpha_list(tmp_path):
-    res = run_cli(
-        ["sweep", "--model", "ou", "--alphas", "", "--lambdas", "1", "--mus", "1",
-         "--t-end", "1", "--steps", "8", "--seed", "1", "--outdir", "o"],
-        tmp_path,
-    )
-    assert res.returncode == 1
-    assert res.stderr.startswith("error:")
-
-
-@pytest.mark.parametrize("alphas", ["1.5,1.5", "1.0000001,1.0000002"])
-def test_sweep_rejects_colliding_file_names(tmp_path, alphas):
-    res = run_cli(
-        ["sweep", "--model", "ou", "--alphas", alphas, "--lambdas", "1", "--mus", "1",
-         "--t-end", "1", "--steps", "8", "--seed", "1", "--outdir", "o"],
-        tmp_path,
-    )
-    assert res.returncode == 1
-    assert res.stderr.startswith("error:")
-    assert len(res.stderr.splitlines()) == 1
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize(
-    "flags",
-    [["--alphas", "1.5,2.5"], ["--alphas", "1.5", "--paths", "0"],
-     ["--alphas", "1.5,0.5", "--t-end", "1e300", "--steps", "4"]],
-    ids=["later_alpha", "zero_paths", "later_step_scale"],
-)
-def test_sweep_checks_every_combination_before_writing(tmp_path, flags):
-    # An invalid later alpha, a bad --paths or a later combination whose
-    # dt**(1/alpha) overflows must leave no file and no --outdir.
-    res = run_cli(
-        ["sweep", "--model", "ou", "--lambdas", "1", "--mus", "1", "--t-end", "1",
-         "--steps", "8", "--seed", "1", "--outdir", "o", *flags],
-        tmp_path,
-    )
-    assert res.returncode == 1
-    assert res.stderr.startswith("error:")
-    assert len(res.stderr.splitlines()) == 1
-    assert not (tmp_path / "o").exists()
-
-
-def test_sweep_with_negative_seed_creates_nothing(tmp_path):
-    res = run_cli(
-        ["sweep", "--model", "ou", "--alphas", "1.5", "--lambdas", "1", "--mus", "1",
-         "--t-end", "1", "--steps", "8", "--seed", "-1", "--outdir", "o"],
-        tmp_path,
-    )
-    assert res.returncode == 1
-    assert res.stderr.startswith("error:")
-    assert len(res.stderr.splitlines()) == 1
-    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_paths_use_distinct_streams(tmp_path):
@@ -277,38 +207,6 @@ def test_fit_link_report(tmp_path):
     assert float(report["beta"][0]) == pytest.approx(0.00034274, rel=1e-4)
     assert "lambda" in report["equation"]
     assert json.loads((tmp_path / "rep.json").read_text()) == report
-
-
-def test_fit_link_rejects_four_rows(tmp_path):
-    (tmp_path / "rows.csv").write_text(
-        "\n".join(LINK_CSV.strip().split("\n")[:-1]) + "\n"
-    )
-    res = run_cli(["fit-link", "--input", "rows.csv"], tmp_path)
-    assert res.returncode == 1
-    assert res.stderr.startswith("error:")
-    assert "5" in res.stderr
-
-
-def test_fit_link_missing_file(tmp_path):
-    res = run_cli(["fit-link", "--input", "nope.csv"], tmp_path)
-    assert res.returncode == 1
-    assert res.stderr.startswith("error:")
-
-
-def test_fit_link_empty_input(tmp_path):
-    (tmp_path / "rows.csv").write_text("")
-    res = run_cli(["fit-link", "--input", "rows.csv"], tmp_path)
-    assert res.returncode == 1
-    assert res.stderr.startswith("error:")
-    assert len(res.stderr.splitlines()) == 1
-    assert "Traceback" not in res.stderr
-
-
-def test_fit_link_names_the_line_of_a_bad_field(tmp_path):
-    (tmp_path / "rows.csv").write_text(LINK_CSV.replace("0.4561", "abc"))
-    res = run_cli(["fit-link", "--input", "rows.csv"], tmp_path)
-    assert res.returncode == 1
-    assert res.stderr == "error: rows.csv: line 5: could not convert string to float: 'abc'\n"
 
 
 @pytest.mark.parametrize("out", ["rows.csv", "./rows.csv", "link.csv"])
@@ -412,19 +310,6 @@ def test_out_replaces_a_link_and_leaves_its_target(tmp_path, argv):
     assert (tmp_path / "keep.txt").read_text() == "keep\n"
 
 
-def test_rng_rejects_alpha_out_of_range(tmp_path):
-    res = run_cli(["rng", "--alpha", "3", "--n", "1", "--seed", "1"], tmp_path)
-    assert res.returncode == 1
-    assert res.stderr.startswith("error:")
-    assert "(0, 2]" in res.stderr
-
-
-def test_rng_rejects_zero_count(tmp_path):
-    res = run_cli(["rng", "--alpha", "1", "--n", "0", "--seed", "1"], tmp_path)
-    assert res.returncode == 1
-    assert res.stderr.startswith("error:")
-
-
 # -------------------------------------------------------------------- selfsim
 
 def test_selfsim_pass_exits_zero(tmp_path):
@@ -447,38 +332,6 @@ def test_selfsim_statistical_fail_exits_two(tmp_path):
     )
     assert res.returncode == 2, res.stdout + res.stderr
     assert "passed=false" in res.stdout
-
-
-def test_selfsim_rejects_bad_c(tmp_path):
-    res = run_cli(["selfsim", "--alpha", "1.5", "--c", "-1", "--seed", "1"], tmp_path)
-    assert res.returncode == 1
-    assert res.stderr.startswith("error:")
-
-
-def test_selfsim_overflowing_stretch_is_an_error_line(tmp_path):
-    # c**(1/alpha) = 1e600 does not fit a float64.
-    res = run_cli(
-        ["selfsim", "--alpha", "0.5", "--c", "1e300", "--seed", "1", "--paths", "10",
-         "--steps", "4"],
-        tmp_path,
-    )
-    assert res.returncode == 1, res.stdout + res.stderr
-    assert res.stdout == ""
-    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
-    assert "c=1e+300" in res.stderr and "alpha=0.5" in res.stderr
-
-
-def test_simulate_overflowing_step_scale_is_an_error_line(tmp_path):
-    # dt = 2.5e299 and dt**(1/alpha) = dt**2 does not fit a float64.
-    res = run_cli(
-        ["simulate", "--model", "ou", "--alpha", "0.5", "--lambda", "1", "--mu", "1",
-         "--t-end", "1e300", "--steps", "4", "--seed", "1", "--out", "x.csv"],
-        tmp_path,
-    )
-    assert res.returncode == 1, res.stdout + res.stderr
-    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
-    assert "dt=" in res.stderr and "alpha=0.5" in res.stderr
-    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_without_jumps_accepts_a_step_whose_scale_would_overflow(tmp_path):
@@ -536,12 +389,6 @@ def test_tiny_alpha_commands_exit_cleanly_without_warnings(tmp_path, monkeypatch
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == ""
-
-
-def test_unknown_subcommand_is_an_error(tmp_path):
-    res = run_cli(["frobnicate"], tmp_path)
-    assert res.returncode == 1
-    assert res.stderr.startswith("error:")
 
 
 # Each size asks numpy for more than 2**47 bytes at once, beyond any user
@@ -742,8 +589,11 @@ SIM_FLAGS = ["--model", "ou", "--mu", "1", "--t-end", "1", "--steps", "8", "--se
              "--out", "o.csv"]
 SELFSIM_FLAGS = ["--seed", "1", "--paths", "5", "--steps", "2"]
 RNG_FLAGS = ["--n", "1", "--seed", "1"]
+SWEEP_FLAGS = ["sweep", "--model", "ou", "--lambdas", "1", "--mus", "1", "--t-end", "1",
+               "--steps", "8", "--seed", "1"]
 
-# One refused input per validation site, with the exact line it prints.
+# One refused input per validation site, with the exact line it prints: a new
+# refusal is a new row (an output path's, of UNWRITABLE or FIFO_OUTPUTS below).
 ERROR_LINES = {
     "stable_alpha": (["rng", "--alpha", "3", *RNG_FLAGS],
                      "alpha=3.0 must lie in the interval (0, 2]"),
@@ -802,6 +652,25 @@ ERROR_LINES = {
                      "--mus", "1", "--t-end", "1", "--steps", "8", "--seed", "1",
                      "--outdir", "d"],
                     "alpha=3.0 must lie in the interval (0, 2]"),
+    "sweep_paths": ([*SWEEP_FLAGS, "--alphas", "1.5", "--paths", "0", "--outdir", "d"],
+                    "paths=0 must be a positive integer"),
+    # Every combination's step is checked before --outdir is made.
+    "sweep_step_scale": ([*SWEEP_FLAGS, "--alphas", "1.5,0.5", "--t-end", "1e300", "--steps", "4",
+                          "--outdir", "d"],
+                         "dt**(1/alpha) overflows float64 for dt=2.5e+299, alpha=0.5"),
+    # %g file names: a repeated value, and two that differ past six digits.
+    "sweep_repeated_name": ([*SWEEP_FLAGS, "--alphas", "1.5,1.5", "--outdir", "d"],
+                            "--outdir files {0!r} and {0!r} name the same file"
+                            .format(os.path.join("d", "ou_l1_m1_a1p5.csv"))),
+    "sweep_colliding_names": ([*SWEEP_FLAGS, "--alphas", "1.0000001,1.0000002", "--outdir", "d"],
+                              "--outdir files {0!r} and {0!r} name the same file"
+                              .format(os.path.join("d", "ou_l1_m1_a1.csv"))),
+    # A flag's type error goes through _Parser.error.
+    "sweep_empty_list": ([*SWEEP_FLAGS, "--alphas", "", "--outdir", "d"],
+                         "argument --alphas: expected a nonempty comma-separated list of reals"),
+    "model_alpha_before_svg_clash": (["simulate", "--alpha", "3", "--lambda", "1", *SIM_FLAGS[:-1],
+                                      "same.out", "--svg", "same.out"],
+                                     "alpha=3.0 must lie in the interval (0, 2]"),
     "noise_alpha_before_c": (["selfsim", "--alpha", "3", "--c", "-1", *SELFSIM_FLAGS],
                              "alpha=3.0 must lie in the interval (0, 2]"),
     "selfsim_c": (["selfsim", "--alpha", "1.5", "--c", "-1", *SELFSIM_FLAGS],
@@ -810,6 +679,8 @@ ERROR_LINES = {
                   "t=0.0 must be a positive real"),
     "selfsim_paths": (["selfsim", "--alpha", "1.5", "--c", "2", *SELFSIM_FLAGS, "--paths", "0"],
                       "n_paths=0 must be a positive integer"),
+    "selfsim_steps": (["selfsim", "--alpha", "1.5", "--c", "2", *SELFSIM_FLAGS, "--steps", "0"],
+                      "n_steps=0 must be a positive integer"),
     "selfsim_horizon": (["selfsim", "--alpha", "1.5", "--c", "1e200", "--t", "1e200",
                          *SELFSIM_FLAGS],
                         "c*t overflows float64 for c=1e+200, t=1e+200"),
@@ -829,6 +700,12 @@ ERROR_LINES = {
     "row_finite": (["fit-link", "--input", "nan.csv"],
                    "nan.csv: line 2: alpha=nan must be finite"),
     "row_t": (["fit-link", "--input", "t.csv"], "t.csv: line 2: t=-0.2 must be non-negative"),
+    "row_file": (["fit-link", "--input", "nope.csv"],
+                 "[Errno 2] No such file or directory: 'nope.csv'"),
+    "row_header": (["fit-link", "--input", "empty.csv"],
+                   "expected header 'lambda,mu,alpha,t,x', got ()"),
+    "row_field": (["fit-link", "--input", "abc.csv"],
+                  "abc.csv: line 5: could not convert string to float: 'abc'"),
     "row_count": (["fit-link", "--input", "four.csv"], "link fit needs exactly 5 rows, got 4"),
     "row_field_limit": (["fit-link", "--input", "big.csv"],
                         "big.csv: line 2: field larger than field limit (131072)"),
@@ -844,6 +721,8 @@ def test_each_validation_site_prints_its_error_line(tmp_path, case):
     (tmp_path / "t.csv").write_text(LINK_CSV.replace(first, "1,0.25,1,-0.2,0.4198"))
     (tmp_path / "four.csv").write_text(LINK_CSV.rsplit("\n", 2)[0] + "\n")
     (tmp_path / "big.csv").write_text(LINK_CSV.replace("0.4198", "1" * 131_073))
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "abc.csv").write_text(LINK_CSV.replace("0.4561", "abc"))
     before = sorted(tmp_path.iterdir())
     code, out, err = run_in_process(argv, tmp_path)
     assert (code, out, err) == (1, "", f"error: {line}\n")
@@ -874,14 +753,6 @@ def test_simulate_refuses_an_svg_that_is_the_csv(tmp_path, svg):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.out"]
 
 
-def test_simulate_reports_a_bad_parameter_before_an_svg_clash(tmp_path):
-    argv = ["simulate", "--alpha", "3", "--lambda", "1", *SIM_FLAGS[:-1], "same.out",
-            "--svg", "same.out"]
-    error = "error: alpha=3.0 must lie in the interval (0, 2]\n"
-    assert run_in_process(argv, tmp_path) == (1, "", error)
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_sweep_refuses_an_svg_that_is_its_csv_before_writing(tmp_path):
     (tmp_path / "d").mkdir()
     (tmp_path / "d" / "ou_l1_m1_a1p5.svg").symlink_to("ou_l1_m1_a1p5.csv")
@@ -895,8 +766,6 @@ def test_sweep_refuses_an_svg_that_is_its_csv_before_writing(tmp_path):
     assert [p.name for p in (tmp_path / "d").iterdir()] == ["ou_l1_m1_a1p5.svg"]
 
 
-SWEEP_FLAGS = ["sweep", "--model", "ou", "--lambdas", "1", "--mus", "1", "--t-end", "1",
-               "--steps", "8", "--seed", "1"]
 # (argv, directories and files made first, the error the first failing open raises);
 # rows.csv always holds the five link rows.
 UNWRITABLE = {
@@ -966,6 +835,46 @@ def test_an_output_the_write_would_refuse_is_refused_before_any_write(tmp_path, 
     assert run_in_process(argv, tmp_path) == (1, "", f"error: {line}\n")
     assert file_tree(tmp_path) == before
     assert [(tmp_path / f).read_text() for f in files] == ["keep\n"] * len(files)
+
+
+# An output that exists as a FIFO (or a device or socket) would be replaced by
+# the rename, and opening it to check would block: lstat alone refuses it,
+# before rng's draw of 10**15 variates could fail to allocate 7.11 PiB.
+FIFO_OUTPUTS = {
+    "rng_out": (["rng", "--alpha", "1.5", "--n", "1000000000000000", "--seed", "1",
+                 "--out", "p"], "p"),
+    "simulate_svg": (["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS, "--svg", "p"],
+                     "p"),
+    "fit_link_out": (["fit-link", "--input", "rows.csv", "--out", "p"], "p"),
+    "sweep_csv_in_outdir": ([*SWEEP_FLAGS, "--alphas", "1.5", "--outdir", "d"],
+                            os.path.join("d", "ou_l1_m1_a1p5.csv")),
+}
+
+
+@pytest.mark.parametrize("case", list(FIFO_OUTPUTS))
+def test_an_output_that_is_a_fifo_is_refused_before_any_work(tmp_path, case):
+    argv, fifo = FIFO_OUTPUTS[case]
+    (tmp_path / "rows.csv").write_text(LINK_CSV)
+    (tmp_path / "d").mkdir()
+    os.mkfifo(tmp_path / fifo)
+    before = file_tree(tmp_path)
+    error = f"error: {fifo!r} exists and is not a regular file\n"
+    assert run_in_process(argv, tmp_path) == (1, "", error)
+    assert file_tree(tmp_path) == before
+    assert stat.S_ISFIFO(os.lstat(tmp_path / fifo).st_mode)  # file_tree sees a file
+
+
+def test_fit_link_reads_an_input_that_is_a_fifo(tmp_path):
+    # Only outputs must be regular files: a pipe is read as a file is.
+    (tmp_path / "rows.csv").write_text(LINK_CSV)
+    report = run_in_process(["fit-link", "--input", "rows.csv"], tmp_path)
+    os.mkfifo(tmp_path / "p")
+    writer = threading.Thread(target=(tmp_path / "p").write_text, args=(LINK_CSV,), daemon=True)
+    writer.start()
+    assert run_in_process(["fit-link", "--input", "p"], tmp_path) == report
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert report[0] == 0 and json.loads(report[1])["equation"]
 
 
 def test_simulate_replaces_a_link_to_a_directory_as_any_write_replaces_a_link(tmp_path):

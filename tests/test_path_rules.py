@@ -1,9 +1,10 @@
 """Each rule about a command's paths is written once, in ``trajio._refuse_paths``.
 
 The same-file rule resolves paths with ``os.path.realpath``, ``--outdir`` is
-made with ``os.makedirs`` and the write pre-flight asks ``os.stat``.  A module
-that calls one of them itself, or a command that opens a file itself, holds a
-second copy of a rule, free to drift from the first.
+made with ``os.makedirs`` and the write pre-flight asks ``os.stat`` about a
+path's parent and ``os.lstat`` about the path.  A module that calls one of
+them itself, or a command that opens a file itself, holds a second copy of a
+rule, free to drift from the first.
 """
 import ast
 import importlib
@@ -14,7 +15,7 @@ import pytest
 
 import levylink
 
-RULE_CALLS = ("os.path.realpath", "os.makedirs", "os.stat")
+RULE_CALLS = ("os.path.realpath", "os.makedirs", "os.stat", "os.lstat")
 HOME = ("trajio", "_refuse_paths")
 
 SUBMODULES = sorted(
