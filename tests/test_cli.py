@@ -706,6 +706,8 @@ ERROR_LINES = {
                    "expected header 'lambda,mu,alpha,t,x', got ()"),
     "row_field": (["fit-link", "--input", "abc.csv"],
                   "abc.csv: line 5: could not convert string to float: 'abc'"),
+    "row_field_count": (["fit-link", "--input", "short.csv"],
+                        "short.csv: line 3: expected 5 fields, got 4"),
     "row_count": (["fit-link", "--input", "four.csv"], "link fit needs exactly 5 rows, got 4"),
     "row_field_limit": (["fit-link", "--input", "big.csv"],
                         "big.csv: line 2: field larger than field limit (131072)"),
@@ -723,6 +725,7 @@ def test_each_validation_site_prints_its_error_line(tmp_path, case):
     (tmp_path / "big.csv").write_text(LINK_CSV.replace("0.4198", "1" * 131_073))
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "abc.csv").write_text(LINK_CSV.replace("0.4561", "abc"))
+    (tmp_path / "short.csv").write_text(LINK_CSV.replace("1,1,1.75,", "1,1.75,"))
     before = sorted(tmp_path.iterdir())
     code, out, err = run_in_process(argv, tmp_path)
     assert (code, out, err) == (1, "", f"error: {line}\n")
@@ -843,11 +846,17 @@ def test_an_output_the_write_would_refuse_is_refused_before_any_write(tmp_path, 
 FIFO_OUTPUTS = {
     "rng_out": (["rng", "--alpha", "1.5", "--n", "1000000000000000", "--seed", "1",
                  "--out", "p"], "p"),
+    "simulate_out": (["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS[:-1], "p"], "p"),
     "simulate_svg": (["simulate", "--alpha", "1.5", "--lambda", "1", *SIM_FLAGS, "--svg", "p"],
                      "p"),
     "fit_link_out": (["fit-link", "--input", "rows.csv", "--out", "p"], "p"),
     "sweep_csv_in_outdir": ([*SWEEP_FLAGS, "--alphas", "1.5", "--outdir", "d"],
                             os.path.join("d", "ou_l1_m1_a1p5.csv")),
+    "sweep_svg_in_outdir": ([*SWEEP_FLAGS, "--alphas", "1.5", "--outdir", "d", "--svg"],
+                            os.path.join("d", "ou_l1_m1_a1p5.svg")),
+    # Every combination's outputs are checked before the first is written.
+    "sweep_later_csv_in_outdir": ([*SWEEP_FLAGS, "--alphas", "1.5,1.2", "--outdir", "d"],
+                                  os.path.join("d", "ou_l1_m1_a1p2.csv")),
 }
 
 
@@ -862,6 +871,40 @@ def test_an_output_that_is_a_fifo_is_refused_before_any_work(tmp_path, case):
     assert run_in_process(argv, tmp_path) == (1, "", error)
     assert file_tree(tmp_path) == before
     assert stat.S_ISFIFO(os.lstat(tmp_path / fifo).st_mode)  # file_tree sees a file
+
+
+def test_an_output_that_is_a_socket_is_refused_before_any_work(tmp_path, monkeypatch):
+    import socket
+
+    monkeypatch.chdir(tmp_path)  # a relative name keeps the bind under the 108-byte limit
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.bind("s")
+        argv = ["rng", "--alpha", "1.5", "--n", "1000000000000000", "--seed", "1", "--out", "s"]
+        error = "error: 's' exists and is not a regular file\n"
+        assert run_in_process(argv, tmp_path) == (1, "", error)
+        assert stat.S_ISSOCK(os.lstat(tmp_path / "s").st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s"]
+
+
+def test_out_replaces_a_link_to_a_fifo_and_sends_the_fifo_nothing(tmp_path):
+    # The link rule holds whatever the target is; the held read end keeps a
+    # write through the link from blocking, so such a write would show as bytes.
+    os.mkfifo(tmp_path / "p")
+    (tmp_path / "lnk").symlink_to("p")
+    fd = os.open(tmp_path / "p", os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        argv = ["rng", "--alpha", "1.5", "--n", "2", "--seed", "1"]
+        printed = run_in_process(argv, tmp_path)
+        assert run_in_process([*argv, "--out", "lnk"], tmp_path) == (0, "", "")
+        assert (tmp_path / "lnk").read_text() == printed[1]
+        try:
+            assert os.read(fd, 1) == b""
+        except BlockingIOError:
+            pass
+    finally:
+        os.close(fd)
+    assert not (tmp_path / "lnk").is_symlink()
+    assert stat.S_ISFIFO(os.lstat(tmp_path / "p").st_mode)
 
 
 def test_fit_link_reads_an_input_that_is_a_fifo(tmp_path):
